@@ -1,28 +1,26 @@
-//! Density-backend scaling: exact vs coreset vs HBE as the model grows.
+//! Density-backend scaling: exact vs coreset as the model grows.
 //!
 //! Fits micro-cluster KDEs at increasing pseudo-point budgets `q`,
-//! builds every [`udm_kde::DensityBackend`] over each model, and times
-//! the same query workload against all of them. The exact backend's
+//! resolves both [`udm_microcluster::DensityBackend`]s over each model,
+//! and times the same query workload against them. The exact backend's
 //! per-query cost is Θ(q); the coreset backend compresses the model to
-//! a certified-L∞ subset, and the HBE backend's importance-sample count
-//! depends only on `(eps, tau)` — so both should hold their per-query
-//! cost roughly flat while exact grows linearly. The report records
-//! `effective_rows` (rows the backend actually touches per query) as
-//! the structural evidence behind the timings, plus the observed
-//! max |approx − exact| against the coreset's certified bound.
+//! a certified-L∞ subset, so its per-query cost should grow more slowly.
+//! The report records `effective_rows` (rows the backend actually
+//! touches per query) as the structural evidence behind the timings,
+//! plus the observed max |approx − exact| against the coreset's
+//! certified bound.
 //!
 //! Output: `results/BENCH_density_backends.json`. `UDM_BENCH_QUICK=1`
 //! shrinks the budget axis and the query count for CI smoke.
 
+use std::sync::Arc;
 use std::time::Instant;
 use udm_core::{Subspace, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend, KdeConfig};
-use udm_microcluster::{build_backend, CoresetKde, MaintainerConfig, MicroClusterMaintainer};
+use udm_kde::KdeConfig;
+use udm_microcluster::{CoresetKde, DensityBackend, MaintainerConfig, MicroClusterMaintainer};
 
 const DIM: usize = 3;
 const CORESET_EPS: f64 = 0.1;
-const HBE_EPS: f64 = 0.2;
-const HBE_TAU: f64 = 0.02;
 
 fn quick() -> bool {
     std::env::var_os("UDM_BENCH_QUICK").is_some()
@@ -112,13 +110,12 @@ struct BackendPoint {
     backend: String,
     spec: String,
     /// Rows the backend touches per query (pseudo-points for exact,
-    /// compressed rows for coreset, near-field cap + samples for HBE).
+    /// compressed rows for coreset).
     effective_rows: usize,
     ns_per_query: f64,
     /// Largest |approx − exact| observed over the query set.
     max_abs_error: f64,
-    /// The coreset's certified L∞ bound (0 for exact, absent semantics
-    /// for HBE where the guarantee is probabilistic/relative).
+    /// The coreset's certified L∞ bound (0 for exact).
     certified_error: f64,
 }
 
@@ -155,7 +152,7 @@ struct GrowthLine {
 }
 
 fn time_backend(
-    backend: &dyn DensityBackend,
+    backend: &DensityBackend<'_>,
     queries: &[Vec<f64>],
     sub: Subspace,
 ) -> (f64, Vec<f64>) {
@@ -175,48 +172,33 @@ fn time_backend(
 fn main() {
     let queries = query_set(queries_per_backend());
     let sub = Subspace::full(DIM).unwrap();
-    let specs = [
-        BackendSpec::Exact,
-        BackendSpec::Coreset { eps: CORESET_EPS },
-        BackendSpec::Hbe {
-            eps: HBE_EPS,
-            tau: HBE_TAU,
-        },
-    ];
 
     let mut budgets_out = Vec::new();
     for q in budgets() {
         let kde = fitted(q);
         let model_rows = kde.num_pseudo_points();
-        let (_, exact_values) = time_backend(
-            build_backend(&kde, &BackendSpec::Exact).unwrap().as_ref(),
-            &queries,
-            sub,
-        );
+        let exact = DensityBackend::Exact(&kde);
+        let coreset = Arc::new(CoresetKde::build(&kde, CORESET_EPS).unwrap());
+        let (_, exact_values) = time_backend(&exact, &queries, sub);
         let mut backends = Vec::new();
-        for spec in specs {
-            let backend = build_backend(&kde, &spec).unwrap();
-            let (ns_per_query, values) = time_backend(backend.as_ref(), &queries, sub);
+        for (backend, spec, certified_error) in [
+            (exact, "exact".to_string(), 0.0),
+            (
+                DensityBackend::Coreset(Arc::clone(&coreset)),
+                format!("coreset:{CORESET_EPS}"),
+                coreset.certified_error(),
+            ),
+        ] {
+            let (ns_per_query, values) = time_backend(&backend, &queries, sub);
             let max_abs_error = values
                 .iter()
                 .zip(exact_values.iter())
                 .map(|(a, e)| (a - e).abs())
                 .fold(0.0_f64, f64::max);
-            let (effective_rows, certified_error) = match spec {
-                BackendSpec::Exact => (model_rows, 0.0),
-                BackendSpec::Coreset { eps } => {
-                    let coreset = CoresetKde::build(&kde, eps).unwrap();
-                    (coreset.rows(), coreset.certified_error())
-                }
-                BackendSpec::Hbe { .. } => {
-                    let hbe = udm_microcluster::HbeKde::build(&kde, HBE_EPS, HBE_TAU).unwrap();
-                    (hbe.samples().min(model_rows), 0.0)
-                }
-            };
             backends.push(BackendPoint {
                 backend: backend.name().to_string(),
-                spec: spec.to_string(),
-                effective_rows,
+                spec,
+                effective_rows: backend.kde().num_pseudo_points(),
                 ns_per_query,
                 max_abs_error,
                 certified_error,
@@ -270,10 +252,9 @@ fn main() {
         criteria_notes: vec![
             format!(
                 "exact touches every pseudo-point (Θ(q) per query); coreset compresses \
-                 to a certified-L∞ row subset at eps={CORESET_EPS}; hbe draws an \
-                 importance sample whose size depends only on eps={HBE_EPS}, tau={HBE_TAU}."
+                 to a certified-L∞ row subset at eps={CORESET_EPS}."
             ),
-            "acceptance: approximate backends' rows_growth stays below q_growth \
+            "acceptance: coreset rows_growth stays below q_growth \
              (sublinear=true) while exact's tracks it exactly; coreset \
              max_abs_error stays within certified_error."
                 .to_string(),

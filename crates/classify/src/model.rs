@@ -6,11 +6,13 @@ use crate::rollup::{rollup, AccuracyOracle, DiscriminativeSubspace, RollupLimits
 use crate::subspace_select::select_non_overlapping;
 use rayon::prelude::*;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend, KernelColumns};
-use udm_microcluster::{build_backend, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
+use udm_kde::{BackendSpec, KernelColumns};
+use udm_microcluster::{
+    CoresetCache, DensityBackend, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer,
+};
 
 /// A trained density-based classifier.
 ///
@@ -58,66 +60,56 @@ pub struct DensityClassifier {
     runtime: BackendRuntime,
 }
 
-/// One density backend per KDE the accuracy ratio (Eq. 11) touches,
-/// all built from the same [`BackendSpec`].
-pub(crate) struct BackendSet {
-    pub(crate) global: Arc<dyn DensityBackend>,
-    pub(crate) per_class: Vec<Arc<dyn DensityBackend>>,
-}
-
-impl BackendSet {
-    pub(crate) fn build(
-        global_kde: &MicroClusterKde,
-        class_kdes: &[MicroClusterKde],
-        spec: &BackendSpec,
-    ) -> Result<Self> {
-        Ok(BackendSet {
-            global: build_backend(global_kde, spec)?,
-            per_class: class_kdes
-                .iter()
-                .map(|kde| build_backend(kde, spec))
-                .collect::<Result<Vec<_>>>()?,
-        })
-    }
-}
-
-/// Runtime-only backend selection state: the default [`BackendSpec`] and
-/// a per-spec cache of built backend sets (coreset/HBE constructions are
-/// deterministic but not free, so each spec is built once per model).
-/// Interior mutability lets serving layers flip backends on a shared
-/// `Arc<DensityClassifier>`. Never serialized — models on disk stay
-/// backend-agnostic, and a restored model starts back at `Exact`.
+/// Runtime-only backend selection, shared by the classifiers: the
+/// default [`BackendSpec`] and the coreset reductions built so far
+/// (constructions are deterministic but not free, so each `eps` is built
+/// once per model). Interior mutability lets serving layers flip
+/// backends on a shared `Arc<DensityClassifier>`. Never serialized —
+/// models on disk stay backend-agnostic, and a restored model starts
+/// back at `Exact`.
 #[derive(Debug, Default)]
-struct BackendRuntime {
-    default_spec: Mutex<BackendSpec>,
-    cache: Mutex<HashMap<String, Arc<BackendSet>>>,
-}
-
-impl std::fmt::Debug for BackendSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendSet")
-            .field("backend", &self.global.name())
-            .field("classes", &self.per_class.len())
-            .finish()
-    }
+pub(crate) struct BackendRuntime {
+    /// The default spec, read lock-free on every query: the coreset
+    /// `eps` bits, or `0` for `Exact` (a valid `eps` is never `0.0`).
+    default_eps_bits: AtomicU64,
+    pub(crate) coresets: CoresetCache,
 }
 
 impl Clone for BackendRuntime {
     fn clone(&self) -> Self {
-        // The cache holds derived state only; a clone re-derives lazily.
+        // The coresets are derived state only; a clone re-derives lazily.
         BackendRuntime {
-            default_spec: Mutex::new(self.spec()),
-            cache: Mutex::new(HashMap::new()),
+            default_eps_bits: AtomicU64::new(self.default_eps_bits.load(Ordering::Relaxed)),
+            coresets: CoresetCache::default(),
         }
     }
 }
 
 impl BackendRuntime {
-    fn spec(&self) -> BackendSpec {
-        self.default_spec
-            .lock()
-            .map(|g| *g)
-            .unwrap_or(BackendSpec::Exact)
+    pub(crate) fn spec(&self) -> BackendSpec {
+        match self.default_eps_bits.load(Ordering::Relaxed) {
+            0 => BackendSpec::Exact,
+            bits => BackendSpec::Coreset {
+                eps: f64::from_bits(bits),
+            },
+        }
+    }
+
+    /// Makes `spec` the default after resolving it over `mixtures`, so
+    /// construction errors surface here rather than per query; the
+    /// previous default stays in effect on error.
+    pub(crate) fn set<'a>(
+        &self,
+        spec: BackendSpec,
+        mixtures: impl IntoIterator<Item = &'a MicroClusterKde>,
+    ) -> Result<()> {
+        self.coresets.resolve(&spec, mixtures)?;
+        let bits = match spec {
+            BackendSpec::Exact => 0,
+            BackendSpec::Coreset { eps } => eps.to_bits(),
+        };
+        self.default_eps_bits.store(bits, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -158,11 +150,10 @@ struct ColumnSet {
 
 struct KdeOracle<'a> {
     model: &'a DensityClassifier,
-    /// The density implementations every evaluation routes through —
-    /// borrowed from the model's per-spec backend cache. With the
-    /// `Exact` spec these delegate to the very same `MicroClusterKde`
-    /// arithmetic the pre-trait classifier called directly.
-    backends: &'a BackendSet,
+    /// The mixtures every evaluation routes through: the global one
+    /// first, then one per class in label order. With the `Exact` spec
+    /// these are the model's own KDEs.
+    backends: Vec<DensityBackend<'a>>,
     query: &'a [f64],
     /// The test point's own per-dimension error ψ(x). The paper's Figure 1
     /// motivates classifying by what the test example *could* coincide
@@ -171,54 +162,30 @@ struct KdeOracle<'a> {
     /// unadjusted baseline, which pretends all errors are zero).
     query_errors: Option<&'a [f64]>,
     /// Lazily-built column caches, shared by every subspace the roll-up
-    /// enumerates for this query. `Some(None)` records a failed build, in
-    /// which case each query falls back to the naive per-subspace path.
-    columns: OnceCell<Option<ColumnSet>>,
+    /// enumerates for this query.
+    columns: OnceCell<ColumnSet>,
 }
 
-impl<'a> KdeOracle<'a> {
-    fn new(
-        model: &'a DensityClassifier,
-        backends: &'a BackendSet,
-        query: &'a [f64],
-        query_errors: Option<&'a [f64]>,
-    ) -> Self {
-        KdeOracle {
-            model,
-            backends,
-            query,
-            query_errors,
-            columns: OnceCell::new(),
-        }
-    }
-
+impl KdeOracle<'_> {
     /// The column caches for this query, built on the first subspace
-    /// evaluation. `None` when the backend has no columnar form (HBE) or
-    /// any cache failed to build — the per-subspace backend path then
-    /// serves as the fallback (it performs the same validation and
-    /// surfaces the underlying error per query).
-    fn columns(&self) -> Option<&ColumnSet> {
-        if self.columns.get().is_some() {
+    /// evaluation.
+    ///
+    /// # Errors
+    ///
+    /// The build's validation error (wrong arity, non-finite input).
+    fn columns(&self) -> Result<&ColumnSet> {
+        if let Some(set) = self.columns.get() {
             udm_observe::counter_inc!("udm_classify_column_cache_hits_total");
-        } else {
-            udm_observe::counter_inc!("udm_classify_column_cache_misses_total");
+            return Ok(set);
         }
-        self.columns
-            .get_or_init(|| {
-                let global = self
-                    .backends
-                    .global
-                    .kernel_columns(self.query, self.query_errors)
-                    .ok()??;
-                let per_class = self
-                    .backends
-                    .per_class
-                    .iter()
-                    .map(|be| be.kernel_columns(self.query, self.query_errors).ok()?)
-                    .collect::<Option<Vec<_>>>()?;
-                Some(ColumnSet { global, per_class })
-            })
-            .as_ref()
+        udm_observe::counter_inc!("udm_classify_column_cache_misses_total");
+        let (global, per_class) = self.backends.split_first().ok_or(UdmError::EmptyDataset)?;
+        let build = |be: &DensityBackend<'_>| be.kernel_columns(self.query, self.query_errors);
+        let set = ColumnSet {
+            global: build(global)?,
+            per_class: per_class.iter().map(build).collect::<Result<_>>()?,
+        };
+        Ok(self.columns.get_or_init(|| set))
     }
 }
 
@@ -228,23 +195,13 @@ impl AccuracyOracle for KdeOracle<'_> {
     }
 
     fn accuracies(&self, subspace: Subspace) -> Result<Vec<f64>> {
-        // Each density below is bit-for-bit identical between the cached
-        // and naive paths, so which one runs never changes a prediction.
-        let cached = self.columns();
-        let global = match cached {
-            Some(set) => set.global.density(subspace)?,
-            None => {
-                self.backends
-                    .global
-                    .density_subspace(self.query, self.query_errors, subspace)?
-            }
-        };
+        // Each cached density is bit-for-bit identical to the direct
+        // per-subspace evaluation (the `KernelColumns` contract).
+        let set = self.columns()?;
+        let global = set.global.density(subspace)?;
         let mut out = Vec::with_capacity(self.model.labels.len());
-        for (i, be) in self.backends.per_class.iter().enumerate() {
-            let class_density = match cached {
-                Some(set) => set.per_class[i].density(subspace)?,
-                None => be.density_subspace(self.query, self.query_errors, subspace)?,
-            };
+        for (i, cols) in set.per_class.iter().enumerate() {
+            let class_density = cols.density(subspace)?;
             let a = if global > 0.0 {
                 self.model.priors[i] * class_density / global
             } else {
@@ -519,27 +476,24 @@ impl DensityClassifier {
     /// Spec validation or backend construction failures; the previous
     /// default stays in effect on error.
     pub fn set_backend(&self, spec: BackendSpec) -> Result<()> {
-        spec.validate()?;
-        self.backends_for(&spec)?;
-        if let Ok(mut guard) = self.runtime.default_spec.lock() {
-            *guard = spec;
-        }
-        Ok(())
+        self.runtime.set(spec, self.mixtures())
     }
 
-    /// The cached backend set for `spec`, building it on first use.
-    fn backends_for(&self, spec: &BackendSpec) -> Result<Arc<BackendSet>> {
-        let key = spec.to_string();
-        if let Ok(cache) = self.runtime.cache.lock() {
-            if let Some(set) = cache.get(&key) {
-                return Ok(Arc::clone(set));
-            }
-        }
-        let built = Arc::new(BackendSet::build(&self.global_kde, &self.class_kdes, spec)?);
-        if let Ok(mut cache) = self.runtime.cache.lock() {
-            cache.insert(key, Arc::clone(&built));
-        }
-        Ok(built)
+    /// The global KDE, then the per-class KDEs in label order.
+    fn mixtures(&self) -> impl Iterator<Item = &MicroClusterKde> {
+        std::iter::once(&self.global_kde).chain(&self.class_kdes)
+    }
+
+    /// An oracle for `x` whose densities come from the mixtures `spec`
+    /// resolves to.
+    fn oracle<'a>(&'a self, spec: &BackendSpec, x: &'a UncertainPoint) -> Result<KdeOracle<'a>> {
+        Ok(KdeOracle {
+            model: self,
+            backends: self.runtime.coresets.resolve(spec, self.mixtures())?,
+            query: x.values(),
+            query_errors: self.query_errors_of(x),
+            columns: OnceCell::new(),
+        })
     }
 
     /// The local accuracy `A(x, S, l)` (Eq. 11) — exposed for inspection
@@ -555,8 +509,7 @@ impl DensityClassifier {
             .iter()
             .position(|&l| l == label)
             .ok_or(UdmError::UnknownLabel(label.id()))?;
-        let set = self.backends_for(&self.runtime.spec())?;
-        let oracle = KdeOracle::new(self, &set, x.values(), self.query_errors_of(x));
+        let oracle = self.oracle(&self.runtime.spec(), x)?;
         Ok(oracle.accuracies(subspace)?[idx])
     }
 
@@ -571,8 +524,7 @@ impl DensityClassifier {
                 actual: x.dim(),
             });
         }
-        let set = self.backends_for(&self.runtime.spec())?;
-        let oracle = KdeOracle::new(self, &set, x.values(), self.query_errors_of(x));
+        let oracle = self.oracle(&self.runtime.spec(), x)?;
         self.scores_from(&oracle)
     }
 
@@ -608,8 +560,7 @@ impl DensityClassifier {
         udm_core::num::ensure_finite_slice("query point values", x.values())?;
         udm_core::num::ensure_finite_slice("query point errors", x.errors())?;
         let _span_point = udm_observe::span!("classify_point");
-        let set = self.backends_for(&self.runtime.spec())?;
-        let oracle = KdeOracle::new(self, &set, x.values(), self.query_errors_of(x));
+        let oracle = self.oracle(&self.runtime.spec(), x)?;
         self.decide(&oracle)
     }
 
@@ -656,8 +607,7 @@ impl DensityClassifier {
         udm_core::num::ensure_finite_slice("query point values", x.values())?;
         udm_core::num::ensure_finite_slice("query point errors", x.errors())?;
         let _span_point = udm_observe::span!("classify_point");
-        let set = self.backends_for(spec)?;
-        let oracle = KdeOracle::new(self, &set, x.values(), self.query_errors_of(x));
+        let oracle = self.oracle(spec, x)?;
         let outcome = self.decide(&oracle)?;
         let scores = self.scores_from(&oracle)?;
         Ok((outcome, scores))
@@ -1000,33 +950,42 @@ mod tests {
     }
 
     #[test]
+    fn exact_backend_reads_the_models_own_kdes() {
+        // No copy: the exact resolution borrows the fitted mixtures.
+        let g = informative_mixture();
+        let train = g.generate(200, 115);
+        let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(20)).unwrap();
+        let x = g.generate(1, 116);
+        let oracle = model.oracle(&BackendSpec::Exact, x.point(0)).unwrap();
+        assert_eq!(oracle.backends.len(), 1 + model.class_kdes.len());
+        assert!(std::ptr::eq(oracle.backends[0].kde(), &model.global_kde));
+        for (be, kde) in oracle.backends[1..].iter().zip(&model.class_kdes) {
+            assert_eq!(be.name(), "exact");
+            assert!(std::ptr::eq(be.kde(), kde));
+        }
+    }
+
+    #[test]
     fn approximate_backends_mostly_agree_with_exact() {
         let g = informative_mixture();
         let train = g.generate(600, 120);
         let test = g.generate(100, 121);
         let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(60)).unwrap();
-        for spec in [
-            BackendSpec::Coreset { eps: 0.05 },
-            BackendSpec::Hbe {
-                eps: 0.1,
-                tau: 0.05,
-            },
-        ] {
-            let mut agree = 0;
-            for p in test.iter() {
-                let exact = model.classify(p).unwrap();
-                let approx = model
-                    .classify_scored_with_backend(p, &spec)
-                    .unwrap()
-                    .0
-                    .label;
-                if exact == approx {
-                    agree += 1;
-                }
+        let spec = BackendSpec::Coreset { eps: 0.05 };
+        let mut agree = 0;
+        for p in test.iter() {
+            let exact = model.classify(p).unwrap();
+            let approx = model
+                .classify_scored_with_backend(p, &spec)
+                .unwrap()
+                .0
+                .label;
+            if exact == approx {
+                agree += 1;
             }
-            let rate = agree as f64 / test.len() as f64;
-            assert!(rate > 0.9, "{spec}: agreement {rate}");
         }
+        let rate = agree as f64 / test.len() as f64;
+        assert!(rate > 0.9, "{spec}: agreement {rate}");
     }
 
     #[test]
@@ -1062,7 +1021,7 @@ mod tests {
         let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(20)).unwrap();
         let before = model.to_json().unwrap();
         model
-            .set_backend(BackendSpec::Hbe { eps: 0.2, tau: 0.1 })
+            .set_backend(BackendSpec::Coreset { eps: 0.2 })
             .unwrap();
         assert_eq!(model.to_json().unwrap(), before);
     }

@@ -17,12 +17,11 @@
 
 use crate::config::ClassifierConfig;
 use crate::eval::Classifier;
+use crate::model::BackendRuntime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend};
-use udm_microcluster::{build_backend, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
+use udm_kde::BackendSpec;
+use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
 
 /// A trained naive density Bayes classifier.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,49 +31,7 @@ pub struct NaiveDensityBayes {
     log_priors: Vec<f64>,
     class_kdes: Vec<MicroClusterKde>,
     convolve_query_error: bool,
-    runtime: NaiveBackendRuntime,
-}
-
-/// One backend per class, in `labels` order, shared across threads.
-type ClassBackends = Arc<Vec<Arc<dyn DensityBackend>>>;
-
-/// Runtime-only backend selection (same shape as the full classifier's):
-/// a default [`BackendSpec`] plus a per-spec cache of built per-class
-/// backends. Never serialized; restored models start back at `Exact`.
-#[derive(Debug, Default)]
-struct NaiveBackendRuntime {
-    default_spec: Mutex<BackendSpec>,
-    cache: Mutex<HashMap<String, ClassBackends>>,
-}
-
-impl NaiveBackendRuntime {
-    fn spec(&self) -> BackendSpec {
-        self.default_spec
-            .lock()
-            .map(|g| *g)
-            .unwrap_or(BackendSpec::Exact)
-    }
-}
-
-impl Clone for NaiveBackendRuntime {
-    fn clone(&self) -> Self {
-        NaiveBackendRuntime {
-            default_spec: Mutex::new(self.spec()),
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl serde::Serialize for NaiveBackendRuntime {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for NaiveBackendRuntime {
-    fn from_value(_: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        Ok(NaiveBackendRuntime::default())
-    }
+    runtime: BackendRuntime,
 }
 
 impl NaiveDensityBayes {
@@ -144,7 +101,7 @@ impl NaiveDensityBayes {
             log_priors,
             class_kdes,
             convolve_query_error: config.error_adjusted && config.convolve_query_error,
-            runtime: NaiveBackendRuntime::default(),
+            runtime: BackendRuntime::default(),
         })
     }
 
@@ -167,32 +124,7 @@ impl NaiveDensityBayes {
     /// Spec validation or backend construction failures; the previous
     /// default stays in effect on error.
     pub fn set_backend(&self, spec: BackendSpec) -> Result<()> {
-        spec.validate()?;
-        self.backends_for(&spec)?;
-        if let Ok(mut guard) = self.runtime.default_spec.lock() {
-            *guard = spec;
-        }
-        Ok(())
-    }
-
-    /// The cached per-class backends for `spec`, building on first use.
-    fn backends_for(&self, spec: &BackendSpec) -> Result<ClassBackends> {
-        let key = spec.to_string();
-        if let Ok(cache) = self.runtime.cache.lock() {
-            if let Some(set) = cache.get(&key) {
-                return Ok(Arc::clone(set));
-            }
-        }
-        let built = Arc::new(
-            self.class_kdes
-                .iter()
-                .map(|kde| build_backend(kde, spec))
-                .collect::<Result<Vec<_>>>()?,
-        );
-        if let Ok(mut cache) = self.runtime.cache.lock() {
-            cache.insert(key, Arc::clone(&built));
-        }
-        Ok(built)
+        self.runtime.set(spec, &self.class_kdes)
     }
 
     /// Log-score of each class at `x` (unnormalized log-posterior).
@@ -208,9 +140,12 @@ impl NaiveDensityBayes {
         } else {
             None
         };
-        let backends = self.backends_for(&self.runtime.spec())?;
-        // Every singleton dimension in one batch call per class, so
-        // backends can amortize per-query work (columns, hash probes).
+        let backends = self
+            .runtime
+            .coresets
+            .resolve(&self.runtime.spec(), &self.class_kdes)?;
+        // Every singleton dimension in one batch call per class: one
+        // kernel-column build per class serves them all.
         let singletons = (0..self.dim)
             .map(Subspace::singleton)
             .collect::<Result<Vec<_>>>()?;

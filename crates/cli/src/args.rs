@@ -63,7 +63,7 @@ pub enum Command {
         unadjusted: bool,
         /// Use the nearest-neighbor baseline instead.
         nn: bool,
-        /// Density backend (`exact | coreset:EPS | hbe:EPS[,TAU]`).
+        /// Density backend (`exact | coreset:EPS`).
         backend: BackendSpec,
     },
     /// Convert a raw UCI repository file to the canonical CSV layout
@@ -259,8 +259,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 }
 
 fn parse_backend(value: Option<String>) -> Result<BackendSpec> {
-    let raw =
-        value.ok_or_else(|| invalid("--backend needs exact | coreset:EPS | hbe:EPS[,TAU]"))?;
+    let raw = value.ok_or_else(|| invalid("--backend needs exact | coreset:EPS"))?;
     let spec = BackendSpec::parse(&raw)?;
     spec.validate()?;
     Ok(spec)
@@ -1107,19 +1106,7 @@ mod tests {
             }
             _ => panic!("wrong command"),
         }
-        let c = parse(&["chaos", "adult", "--backend", "hbe:0.2,0.05"]).unwrap();
-        match c {
-            Command::Chaos { backend, .. } => {
-                assert_eq!(
-                    backend,
-                    BackendSpec::Hbe {
-                        eps: 0.2,
-                        tau: 0.05
-                    }
-                );
-            }
-            _ => panic!("wrong command"),
-        }
+        assert!(parse(&["chaos", "adult", "--backend", "hbe:0.2,0.05"]).is_err());
         let c = parse(&[
             "serve",
             "--train",

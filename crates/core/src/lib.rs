@@ -23,6 +23,8 @@
 //!   clamp ([`num::clamped_sqrt`]) with an observability counter, finite
 //!   input validation for estimator entry points, and the tolerant
 //!   [`num::approx_eq`] comparison.
+//! * [`fnv`] — the FNV-1a 64-bit digest shared by checkpoints, serving
+//!   snapshots and model fingerprints.
 //! * [`scale`] — standard/min-max scalers that transform values and their
 //!   errors consistently.
 //!
@@ -35,6 +37,7 @@
 
 pub mod dataset;
 pub mod error;
+pub mod fnv;
 pub mod label;
 pub mod num;
 pub mod point;

@@ -1,9 +1,10 @@
-//! Density backends over micro-cluster mixtures: the concrete
-//! implementations behind `udm_kde::backend::DensityBackend`.
+//! Density backends over micro-cluster mixtures: what a
+//! `udm_kde::BackendSpec` resolves to.
 //!
-//! * **Exact** — [`MicroClusterKde`] itself: every pseudo-point, every
-//!   query, bit-identical to the pre-trait direct call path (the trait
-//!   methods delegate to the very same inherent methods).
+//! * **Exact** — the model's own [`MicroClusterKde`], borrowed: every
+//!   pseudo-point, every query, bit-identical to calling the estimator
+//!   directly (the backend methods delegate to the very same inherent
+//!   methods).
 //! * **Coreset** — [`CoresetKde`]: a discrepancy-style reduction in the
 //!   spirit of Phillips & Tai (arXiv:1710.04325). Pseudo-points are
 //!   greedily merged (cheapest certified pair first, halving-like
@@ -12,13 +13,11 @@
 //!   is the mixture's peak-density upper bound. The construction is a
 //!   deterministic function of the model: same pseudo-points in, same
 //!   coreset out.
-//! * **HBE** — [`HbeKde`]: hashing-based importance sampling in the
-//!   spirit of Charikar & Siminelakis (arXiv:1808.10530). A per-dimension
-//!   grid hash retrieves the near field (evaluated exactly); the far
-//!   field is estimated by weighted importance sampling with
-//!   `m = ⌈1/(eps²·√tau)⌉` draws. Randomness is derived from the model
-//!   fingerprint and the query bits, so repeated queries are
-//!   deterministic and serving stays reproducible.
+//!
+//! Both are a `MicroClusterKde`, so [`DensityBackend`] is one concrete
+//! type and every query — the per-query kernel-column cache included —
+//! runs the same arithmetic, over fewer rows for a coreset.
+//! [`CoresetCache`] builds each coreset once per `eps` and shares it.
 //!
 //! ## Certified coreset error bound
 //!
@@ -42,37 +41,17 @@
 
 use crate::density::MicroClusterKde;
 use crate::pseudo::PseudoPoint;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-use udm_core::num::{clamped_sqrt, ensure_finite_slice, ensure_finite_slice_opt, f64_from_count};
-use udm_core::{Result, Subspace, UdmError};
-use udm_kde::backend::{record_query, BackendSpec, DensityBackend};
+use udm_core::fnv::{fnv1a, fnv1a_f64s, FNV_OFFSET};
+use udm_core::num::{clamped_sqrt, f64_from_count};
+use udm_core::{Result, Subspace};
+use udm_kde::backend::{record_query, BackendSpec};
 use udm_kde::{GaussianErrorKernel, KernelColumns};
-
-/// FNV-1a over little-endian bytes.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_f64s(mut h: u64, values: &[f64]) -> u64 {
-    for &v in values {
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
-    }
-    h
-}
 
 /// Bit-exact digest of a fitted estimator: pseudo-point statistics,
 /// weights and bandwidths. Two estimators share a fingerprint iff their
-/// mixtures are bit-identical — the seed that makes the coreset and HBE
-/// constructions deterministic functions of the model.
+/// mixtures are bit-identical.
 pub fn model_fingerprint(kde: &MicroClusterKde) -> u64 {
     let mut h = FNV_OFFSET;
     for p in kde.pseudo_points() {
@@ -84,79 +63,146 @@ pub fn model_fingerprint(kde: &MicroClusterKde) -> u64 {
     fnv1a(h, &kde.total_points().to_le_bytes())
 }
 
-/// Builds the backend selected by `spec` over a fitted estimator.
+/// One resolved density backend: the mixture a query evaluates against.
 ///
-/// `Exact` wraps a clone of the estimator itself; `Coreset` and `Hbe`
-/// run their (deterministic) constructions. The result is `Arc`'d so
-/// snapshot/classifier caches can share one instance across threads.
-///
-/// # Errors
-///
-/// Spec validation errors; construction failures from degenerate models.
-pub fn build_backend(kde: &MicroClusterKde, spec: &BackendSpec) -> Result<Arc<dyn DensityBackend>> {
-    spec.validate()?;
-    match spec {
-        BackendSpec::Exact => Ok(Arc::new(kde.clone())),
-        BackendSpec::Coreset { eps } => Ok(Arc::new(CoresetKde::build(kde, *eps)?)),
-        BackendSpec::Hbe { eps, tau } => Ok(Arc::new(HbeKde::build(kde, *eps, *tau)?)),
-    }
+/// Every query entry point records a per-backend query count and
+/// latency (`udm_backend_{exact,coreset}_{queries_total,query_seconds}`).
+/// Inputs are validated by the wrapped estimator's entry points.
+#[derive(Debug)]
+pub enum DensityBackend<'a> {
+    /// The model's own mixture.
+    Exact(&'a MicroClusterKde),
+    /// A coreset-reduced copy, shared with the cache that built it.
+    Coreset(Arc<CoresetKde>),
 }
 
-// ---- Exact ---------------------------------------------------------------
-
-impl DensityBackend for MicroClusterKde {
-    fn name(&self) -> &'static str {
-        "exact"
+impl DensityBackend<'_> {
+    /// The backend's short name (`"exact"`, `"coreset"`) — the
+    /// per-backend metrics key.
+    pub fn name(&self) -> &'static str {
+        match self {
+            DensityBackend::Exact(_) => "exact",
+            DensityBackend::Coreset(_) => "coreset",
+        }
     }
 
-    fn dim(&self) -> usize {
-        MicroClusterKde::dim(self)
+    /// The mixture every query evaluates.
+    pub fn kde(&self) -> &MicroClusterKde {
+        match self {
+            DensityBackend::Exact(kde) => kde,
+            DensityBackend::Coreset(coreset) => coreset.inner(),
+        }
     }
 
-    // udm-lint: allow(UDM005) delegates to the same-named validating inherent method
-    fn density(&self, x: &[f64]) -> Result<f64> {
+    /// Dimensionality of the underlying model.
+    pub fn dim(&self) -> usize {
+        self.kde().dim()
+    }
+
+    fn timed<T>(&self, query: impl FnOnce(&MicroClusterKde) -> Result<T>) -> Result<T> {
         let started = Instant::now();
-        let out = MicroClusterKde::density(self, x);
-        record_query("exact", started.elapsed().as_secs_f64());
+        let out = query(self.kde());
+        record_query(self.name(), started.elapsed().as_secs_f64());
         out
     }
 
-    fn density_subspace(
+    /// Density at `x` over the full dimensionality.
+    ///
+    /// # Errors
+    ///
+    /// Arity mismatches and non-finite inputs.
+    pub fn density(&self, x: &[f64]) -> Result<f64> {
+        self.density_subspace(x, None, Subspace::full(self.dim())?)
+    }
+
+    /// Density at `x` over `subspace`, optionally convolved with the
+    /// query's own per-dimension error (the paper's Figure 1 scenario).
+    ///
+    /// # Errors
+    ///
+    /// As [`DensityBackend::density`], plus empty/out-of-range subspaces.
+    pub fn density_subspace(
         &self,
         x: &[f64],
         query_errors: Option<&[f64]>,
         subspace: Subspace,
     ) -> Result<f64> {
-        let started = Instant::now();
-        let out = self.density_subspace_with_error(x, query_errors, subspace);
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
+        self.timed(|kde| kde.density_subspace_with_error(x, query_errors, subspace))
     }
 
-    fn density_subspaces(
+    /// Densities at `x` over many subspaces from one kernel-column
+    /// build — bit-identical to per-subspace queries by the
+    /// `KernelColumns` contract.
+    ///
+    /// # Errors
+    ///
+    /// As [`DensityBackend::density_subspace`]; the first failing
+    /// subspace aborts the batch.
+    pub fn density_subspaces(
         &self,
         x: &[f64],
         query_errors: Option<&[f64]>,
         subspaces: &[Subspace],
     ) -> Result<Vec<f64>> {
-        let started = Instant::now();
-        // One column build amortized over the whole batch; bit-identical
-        // to the naive per-subspace loop by the KernelColumns contract.
-        let cols = MicroClusterKde::kernel_columns(self, x, query_errors)?;
-        let out = subspaces.iter().map(|&s| cols.density(s)).collect();
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
+        self.timed(|kde| {
+            let cols = kde.kernel_columns(x, query_errors)?;
+            subspaces.iter().map(|&s| cols.density(s)).collect()
+        })
     }
 
-    fn kernel_columns(
+    /// The per-query kernel-column cache every subspace density of `x`
+    /// is read from.
+    ///
+    /// # Errors
+    ///
+    /// Arity mismatches and non-finite inputs.
+    pub fn kernel_columns(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<KernelColumns> {
+        self.timed(|kde| kde.kernel_columns(x, query_errors))
+    }
+}
+
+/// Coreset reductions of one fixed list of mixtures, built on the first
+/// use of each `eps` and shared from then on. The exact spec never
+/// touches it: exact backends borrow the mixtures themselves.
+#[derive(Debug, Default)]
+pub struct CoresetCache {
+    built: Mutex<Vec<(u64, Vec<Arc<CoresetKde>>)>>,
+}
+
+impl CoresetCache {
+    /// Resolves `spec` over `mixtures`, one backend per mixture in
+    /// order: `Exact` borrows each mixture, `Coreset { eps }` returns
+    /// the cached reductions (building them on first use of `eps`).
+    /// Every call on one cache must pass the same mixtures.
+    ///
+    /// # Errors
+    ///
+    /// Spec validation and coreset construction failures.
+    pub fn resolve<'a>(
         &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-    ) -> Result<Option<KernelColumns>> {
-        let started = Instant::now();
-        let out = MicroClusterKde::kernel_columns(self, x, query_errors).map(Some);
-        record_query("exact", started.elapsed().as_secs_f64());
-        out
+        spec: &BackendSpec,
+        mixtures: impl IntoIterator<Item = &'a MicroClusterKde>,
+    ) -> Result<Vec<DensityBackend<'a>>> {
+        spec.validate()?;
+        let eps = match *spec {
+            BackendSpec::Exact => {
+                return Ok(mixtures.into_iter().map(DensityBackend::Exact).collect())
+            }
+            BackendSpec::Coreset { eps } => eps,
+        };
+        let mut built = self.built.lock().unwrap_or_else(PoisonError::into_inner);
+        let coresets = match built.iter().find(|(bits, _)| *bits == eps.to_bits()) {
+            Some((_, coresets)) => coresets.clone(),
+            None => {
+                let coresets = mixtures
+                    .into_iter()
+                    .map(|kde| CoresetKde::build(kde, eps).map(Arc::new))
+                    .collect::<Result<Vec<_>>>()?;
+                built.push((eps.to_bits(), coresets.clone()));
+                coresets
+            }
+        };
+        Ok(coresets.into_iter().map(DensityBackend::Coreset).collect())
     }
 }
 
@@ -291,7 +337,7 @@ impl CoresetKde {
     ///
     /// # Errors
     ///
-    /// [`UdmError::InvalidConfig`] when `eps` leaves `(0, 1)`.
+    /// [`udm_core::UdmError::InvalidConfig`] when `eps` leaves `(0, 1)`.
     pub fn build(kde: &MicroClusterKde, eps: f64) -> Result<Self> {
         BackendSpec::Coreset { eps }.validate()?;
         let kernel = GaussianErrorKernel::new(kde.kernel_form());
@@ -418,406 +464,6 @@ impl CoresetKde {
     }
 }
 
-impl DensityBackend for CoresetKde {
-    fn name(&self) -> &'static str {
-        "coreset"
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    // udm-lint: allow(UDM005) delegates to the same-named validating inherent method
-    fn density(&self, x: &[f64]) -> Result<f64> {
-        let started = Instant::now();
-        let out = self.inner.density(x);
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn density_subspace(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> Result<f64> {
-        let started = Instant::now();
-        let out = self
-            .inner
-            .density_subspace_with_error(x, query_errors, subspace);
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn density_subspaces(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspaces: &[Subspace],
-    ) -> Result<Vec<f64>> {
-        let started = Instant::now();
-        let cols = self.inner.kernel_columns(x, query_errors)?;
-        let out = subspaces.iter().map(|&s| cols.density(s)).collect();
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-
-    fn kernel_columns(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-    ) -> Result<Option<KernelColumns>> {
-        let started = Instant::now();
-        let out = self.inner.kernel_columns(x, query_errors).map(Some);
-        record_query("coreset", started.elapsed().as_secs_f64());
-        out
-    }
-}
-
-// ---- HBE -----------------------------------------------------------------
-
-/// xorshift64* — tiny, seedable, and good enough for importance-sample
-/// index draws.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Largest near-field candidate set evaluated exactly per query; beyond
-/// it, extra candidates are left to the far-field sampler (the split is
-/// arbitrary for unbiasedness, the cap only limits per-query cost).
-const NEAR_CAP: usize = 512;
-
-/// Hashing-based density estimator over a micro-cluster mixture.
-///
-/// Queries split the mixture into a *near field* — pseudo-points whose
-/// per-dimension grid cells neighbor the query's in every subspace
-/// dimension, evaluated exactly — and a *far field*, estimated by
-/// weighted importance sampling: `E_{i∼w/W}[K_i·1(i∉near)]` scaled by
-/// `W`, with `m = ⌈1/(eps²·√tau)⌉` draws seeded by the model fingerprint
-/// and the query bits. Any near/far split leaves the estimator unbiased;
-/// the hash just routes the dominant kernels through the exact path so
-/// variance concentrates on the flat tail.
-#[derive(Debug)]
-pub struct HbeKde {
-    inner: MicroClusterKde,
-    eps: f64,
-    tau: f64,
-    samples: usize,
-    cum_weights: Vec<f64>,
-    total_weight: f64,
-    cell_widths: Vec<f64>,
-    cells: Vec<HashMap<i64, Vec<u32>>>,
-    seed: u64,
-}
-
-impl HbeKde {
-    /// Builds the hash tables and the sampling distribution.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::InvalidConfig`] when `eps` or `tau` leaves `(0, 1)`.
-    pub fn build(kde: &MicroClusterKde, eps: f64, tau: f64) -> Result<Self> {
-        BackendSpec::Hbe { eps, tau }.validate()?;
-        let dim = kde.dim();
-        let pseudos = kde.pseudo_points();
-        let rows = pseudos.len();
-
-        // Cell width per dimension: ~3 effective sigmas of the average
-        // kernel, so a ±1-cell probe covers the mass that matters.
-        let mut cell_widths = Vec::with_capacity(dim);
-        for j in 0..dim {
-            let h = kde.bandwidths()[j];
-            let mean_d2 = pseudos.iter().map(|p| p.delta[j] * p.delta[j]).sum::<f64>()
-                / f64_from_count(u64::try_from(rows.max(1)).unwrap_or(u64::MAX));
-            let width = 3.0 * clamped_sqrt(h * h + mean_d2);
-            cell_widths.push(if width.is_finite() && width > 0.0 {
-                width
-            } else {
-                1.0
-            });
-        }
-        let mut cells: Vec<HashMap<i64, Vec<u32>>> = vec![HashMap::new(); dim];
-        for (r, p) in pseudos.iter().enumerate() {
-            for j in 0..dim {
-                let key = cell_key(p.centroid[j], cell_widths[j]);
-                cells[j]
-                    .entry(key)
-                    .or_default()
-                    .push(u32::try_from(r).unwrap_or(u32::MAX));
-            }
-        }
-
-        let mut cum_weights = Vec::with_capacity(rows);
-        let mut acc = 0.0;
-        for p in pseudos {
-            acc += f64_from_count(p.weight);
-            cum_weights.push(acc);
-        }
-
-        // m = ceil(1/(eps²·√tau)), clamped to something sane; when m
-        // reaches the row count a full exact pass is cheaper and the
-        // estimator silently upgrades to it.
-        let raw = (1.0 / (eps * eps * tau.sqrt())).ceil();
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let samples = if raw.is_finite() {
-            (raw as usize).clamp(16, 1 << 22)
-        } else {
-            1 << 22
-        };
-
-        Ok(HbeKde {
-            inner: kde.clone(),
-            eps,
-            tau,
-            samples,
-            cum_weights,
-            total_weight: acc,
-            cell_widths,
-            cells,
-            seed: model_fingerprint(kde) | 1,
-        })
-    }
-
-    /// The configured relative-error target.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// The configured density floor fraction.
-    pub fn tau(&self) -> f64 {
-        self.tau
-    }
-
-    /// Far-field sample draws per query.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Near-field candidates for `(x, subspace)`: pseudo-points whose
-    /// home cell neighbors the query cell in *every* subspace dimension.
-    fn near_field(&self, x: &[f64], subspace: Subspace) -> Vec<u32> {
-        let mut result: Option<Vec<u32>> = None;
-        for j in subspace.dims() {
-            let key = cell_key(x[j], self.cell_widths[j]);
-            let mut near_j: Vec<u32> = Vec::new();
-            for k in [key - 1, key, key + 1] {
-                if let Some(bucket) = self.cells[j].get(&k) {
-                    near_j.extend_from_slice(bucket);
-                }
-            }
-            near_j.sort_unstable();
-            result = Some(match result {
-                None => near_j,
-                Some(prev) => intersect_sorted(&prev, &near_j),
-            });
-            if result.as_ref().is_some_and(Vec::is_empty) {
-                break;
-            }
-        }
-        let mut out = result.unwrap_or_default();
-        out.truncate(NEAR_CAP);
-        out
-    }
-
-    /// The weighted kernel product of pseudo-point `r` at `(x, errors)`
-    /// over `subspace` — the same arithmetic as the naive exact loop.
-    fn kernel_product(
-        &self,
-        r: usize,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> f64 {
-        let p = &self.inner.pseudo_points()[r];
-        let kernel = GaussianErrorKernel::new(self.inner.kernel_form());
-        let mut prod = 1.0;
-        for j in subspace.dims() {
-            let psi = match query_errors {
-                Some(errs) => clamped_sqrt(p.delta[j] * p.delta[j] + errs[j] * errs[j]),
-                None => p.delta[j],
-            };
-            prod *= kernel.evaluate(x[j] - p.centroid[j], self.inner.bandwidths()[j], psi);
-            // udm-lint: allow(UDM002) exact underflow short-circuit (bit-for-bit cache contract)
-            if prod == 0.0 {
-                break;
-            }
-        }
-        prod
-    }
-
-    /// One estimated subspace density (validation already done by the
-    /// public entry points).
-    fn density_estimate(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-        rng: &mut u64,
-    ) -> f64 {
-        let rows = self.inner.pseudo_points().len();
-        let n = f64_from_count(self.inner.total_points());
-        if self.samples >= rows {
-            // Sampling would draw more kernels than exist: a full exact
-            // pass is both cheaper and error-free.
-            let total: f64 = (0..rows)
-                .map(|r| {
-                    f64_from_count(self.inner.pseudo_points()[r].weight)
-                        * self.kernel_product(r, x, query_errors, subspace)
-                })
-                .sum();
-            return total / n;
-        }
-
-        let near = self.near_field(x, subspace);
-        let mut in_near = vec![false; rows];
-        let mut near_sum = 0.0;
-        for &r in &near {
-            let r = r as usize;
-            in_near[r] = true;
-            near_sum += f64_from_count(self.inner.pseudo_points()[r].weight)
-                * self.kernel_product(r, x, query_errors, subspace);
-        }
-
-        let mut far_acc = 0.0;
-        for _ in 0..self.samples {
-            let u = (xorshift(rng) >> 11) as f64 / (1u64 << 53) as f64 * self.total_weight;
-            let idx = self.cum_weights.partition_point(|&c| c <= u).min(rows - 1);
-            if !in_near[idx] {
-                far_acc += self.kernel_product(idx, x, query_errors, subspace);
-            }
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let far = self.total_weight * far_acc / self.samples as f64;
-        (near_sum + far) / n
-    }
-
-    fn validate(&self, x: &[f64], query_errors: Option<&[f64]>) -> Result<()> {
-        let dim = self.inner.dim();
-        if x.len() != dim {
-            return Err(UdmError::DimensionMismatch {
-                expected: dim,
-                actual: x.len(),
-            });
-        }
-        if let Some(errs) = query_errors {
-            if errs.len() != dim {
-                return Err(UdmError::DimensionMismatch {
-                    expected: dim,
-                    actual: errs.len(),
-                });
-            }
-        }
-        ensure_finite_slice("query coordinate", x)?;
-        ensure_finite_slice_opt("query error", query_errors)?;
-        Ok(())
-    }
-
-    /// Per-query RNG state: model fingerprint xor query/error/subspace
-    /// bits — identical inputs always draw identical samples.
-    fn query_seed(&self, x: &[f64], query_errors: Option<&[f64]>, subspaces: &[Subspace]) -> u64 {
-        let mut h = fnv1a_f64s(self.seed, x);
-        if let Some(errs) = query_errors {
-            h = fnv1a_f64s(h, errs);
-        }
-        for s in subspaces {
-            h = fnv1a(h, &s.bits().to_le_bytes());
-        }
-        h | 1
-    }
-}
-
-fn cell_key(value: f64, width: f64) -> i64 {
-    let k = (value / width).floor();
-    if k.is_finite() {
-        // Cell indices of finite inputs over sane widths fit i64 by a
-        // huge margin; saturate rather than wrap at the extremes.
-        #[allow(clippy::cast_possible_truncation)]
-        if k >= i64::MAX as f64 {
-            i64::MAX
-        } else if k <= i64::MIN as f64 {
-            i64::MIN
-        } else {
-            k as i64
-        }
-    } else {
-        0
-    }
-}
-
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-impl DensityBackend for HbeKde {
-    fn name(&self) -> &'static str {
-        "hbe"
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn density(&self, x: &[f64]) -> Result<f64> {
-        self.density_subspace(x, None, Subspace::full(self.inner.dim())?)
-    }
-
-    fn density_subspace(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspace: Subspace,
-    ) -> Result<f64> {
-        Ok(self
-            .density_subspaces(x, query_errors, &[subspace])?
-            .pop()
-            .unwrap_or(0.0))
-    }
-
-    fn density_subspaces(
-        &self,
-        x: &[f64],
-        query_errors: Option<&[f64]>,
-        subspaces: &[Subspace],
-    ) -> Result<Vec<f64>> {
-        let started = Instant::now();
-        self.validate(x, query_errors)?;
-        let dim = self.inner.dim();
-        for s in subspaces {
-            s.validate_for(dim)?;
-            if s.is_empty() {
-                return Err(UdmError::InvalidConfig(
-                    "cannot evaluate a density over the empty subspace".into(),
-                ));
-            }
-        }
-        let mut rng = self.query_seed(x, query_errors, subspaces);
-        let out = subspaces
-            .iter()
-            .map(|&s| self.density_estimate(x, query_errors, s, &mut rng))
-            .collect();
-        record_query("hbe", started.elapsed().as_secs_f64());
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,9 +485,9 @@ mod tests {
     }
 
     #[test]
-    fn exact_backend_is_bit_identical_through_the_trait() {
+    fn exact_backend_is_bit_identical_to_the_estimator() {
         let kde = fitted(300, 24);
-        let be: &dyn DensityBackend = &kde;
+        let be = DensityBackend::Exact(&kde);
         assert_eq!(be.name(), "exact");
         assert_eq!(be.dim(), 2);
         let x = [4.2, -0.3];
@@ -863,7 +509,9 @@ mod tests {
             let want = kde.density_subspace_with_error(&x, None, s).unwrap();
             assert_eq!(got.to_bits(), want.to_bits());
         }
-        assert!(be.kernel_columns(&x, None).unwrap().is_some());
+        let cols = be.kernel_columns(&x, None).unwrap();
+        let want = kde.density_subspace_with_error(&x, None, subs[0]).unwrap();
+        assert_eq!(cols.density(subs[0]).unwrap().to_bits(), want.to_bits());
     }
 
     #[test]
@@ -876,7 +524,7 @@ mod tests {
         for i in 0..40 {
             let x = [i as f64 * 0.25, (i % 7) as f64 - 3.0];
             let exact = kde.density_subspace_with_error(&x, None, full).unwrap();
-            let approx = coreset.density_subspace(&x, None, full).unwrap();
+            let approx = coreset.inner().density_subspace(&x, full).unwrap();
             assert!(
                 (exact - approx).abs() <= coreset.certified_error() + 1e-12,
                 "x={x:?}: |{exact} - {approx}| > {}",
@@ -894,8 +542,8 @@ mod tests {
         let x = [1.0, 0.5];
         let s = Subspace::full(2).unwrap();
         assert_eq!(
-            a.density_subspace(&x, None, s).unwrap().to_bits(),
-            b.density_subspace(&x, None, s).unwrap().to_bits()
+            a.inner().density_subspace(&x, s).unwrap().to_bits(),
+            b.inner().density_subspace(&x, s).unwrap().to_bits()
         );
     }
 
@@ -908,51 +556,11 @@ mod tests {
     }
 
     #[test]
-    fn hbe_is_deterministic_and_close_on_dense_regions() {
-        let kde = fitted(600, 64);
-        let hbe = HbeKde::build(&kde, 0.1, 0.05).unwrap();
-        assert_eq!(hbe.name(), "hbe");
-        let full = Subspace::full(2).unwrap();
-        let x = [5.0, 0.0];
-        let a = hbe.density_subspace(&x, None, full).unwrap();
-        let b = hbe.density_subspace(&x, None, full).unwrap();
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "same query must redraw the same samples"
-        );
-        let exact = kde.density_subspace_with_error(&x, None, full).unwrap();
-        assert!(
-            (a - exact).abs() <= 0.5 * exact.max(1e-12),
-            "hbe {a} vs exact {exact}"
-        );
-        // No columnar form.
-        assert!(hbe.kernel_columns(&x, None).unwrap().is_none());
-    }
-
-    #[test]
-    fn hbe_small_model_upgrades_to_exact() {
-        let kde = fitted(100, 8);
-        let hbe = HbeKde::build(&kde, 0.2, 0.25).unwrap();
-        // 8 rows < samples: the estimator runs the full pass.
-        assert!(hbe.samples() >= 8);
-        let s = Subspace::full(2).unwrap();
-        let x = [2.0, 1.0];
-        let got = hbe.density_subspace(&x, None, s).unwrap();
-        let want = kde.density_subspace_with_error(&x, None, s).unwrap();
-        assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-    }
-
-    #[test]
     fn backends_validate_inputs() {
         let kde = fitted(200, 16);
-        let specs = [
-            BackendSpec::Exact,
-            BackendSpec::Coreset { eps: 0.1 },
-            BackendSpec::Hbe { eps: 0.2, tau: 0.1 },
-        ];
-        for spec in &specs {
-            let be = build_backend(&kde, spec).unwrap();
+        let cache = CoresetCache::default();
+        for spec in [BackendSpec::Exact, BackendSpec::Coreset { eps: 0.1 }] {
+            let be = cache.resolve(&spec, [&kde]).unwrap().remove(0);
             assert_eq!(be.name(), spec.name());
             assert!(be.density(&[0.0]).is_err(), "{spec}: arity unchecked");
             assert!(
@@ -970,14 +578,17 @@ mod tests {
                     .is_err(),
                 "{spec}: empty subspace unchecked"
             );
+            assert!(be.kernel_columns(&[f64::NAN, 0.0], None).is_err());
         }
     }
 
     #[test]
-    fn build_backend_rejects_bad_specs() {
+    fn coreset_cache_rejects_bad_specs() {
         let kde = fitted(100, 8);
-        assert!(build_backend(&kde, &BackendSpec::Coreset { eps: 0.0 }).is_err());
-        assert!(build_backend(&kde, &BackendSpec::Hbe { eps: 0.1, tau: 2.0 }).is_err());
+        let cache = CoresetCache::default();
+        assert!(cache
+            .resolve(&BackendSpec::Coreset { eps: 0.0 }, [&kde])
+            .is_err());
     }
 
     #[test]

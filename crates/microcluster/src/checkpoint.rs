@@ -34,21 +34,16 @@ use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use udm_core::fnv::{fnv1a, FNV_OFFSET};
 use udm_core::{Result, RunningStats, UdmError};
 
 /// Schema version written by this build (version 1 was the unversioned
 /// bare [`Snapshot`] JSON, which this module refuses with a typed error).
 pub const SCHEMA_VERSION: u32 = 2;
 
-/// FNV-1a 64-bit content digest (dependency-free, stable across
-/// platforms).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// FNV-1a 64-bit content digest of a payload string.
+fn hex_digest(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a(FNV_OFFSET, bytes))
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -185,7 +180,7 @@ pub fn save_checkpoint(path: &Path, payload: &CheckpointPayload) -> Result<()> {
         serde_json::to_string(payload).map_err(|e| UdmError::Serde(e.to_string()))?;
     let envelope = Envelope {
         version: SCHEMA_VERSION,
-        digest: format!("{:016x}", fnv1a64(payload_json.as_bytes())),
+        digest: hex_digest(payload_json.as_bytes()),
         payload: payload_json,
     };
     let text = serde_json::to_string(&envelope).map_err(|e| UdmError::Serde(e.to_string()))?;
@@ -237,7 +232,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CheckpointPayload> {
             supported: SCHEMA_VERSION,
         });
     }
-    let actual = format!("{:016x}", fnv1a64(envelope.payload.as_bytes()));
+    let actual = hex_digest(envelope.payload.as_bytes());
     if actual != envelope.digest {
         return Err(UdmError::CorruptSnapshot {
             reason: format!(
@@ -451,14 +446,6 @@ mod tests {
             ing.observe(&rec(i, (i % 13) as f64)).unwrap();
         }
         ing
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

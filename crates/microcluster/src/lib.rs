@@ -35,8 +35,9 @@
 //!   clusters (never created after warm-up, never discarded),
 //! * [`pseudo`] — Lemma 1 pseudo-points,
 //! * [`density`] — the micro-cluster density estimator (Eqs. 9–10),
-//! * [`backend`] — the `Exact` / `CoresetKde` / `HbeKde` implementations
-//!   of `udm_kde::backend::DensityBackend`, plus [`build_backend`],
+//! * [`backend`] — [`DensityBackend`], what an `exact | coreset:EPS`
+//!   spec resolves to (the model's own estimator or a [`CoresetKde`]
+//!   reduction of it), and the shared [`CoresetCache`],
 //! * [`snapshot`] — JSON persistence of maintainer state,
 //! * [`ingest`] — fault-tolerant ingest: per-record Accept / Repair /
 //!   Quarantine / Reject verdicts under a configurable degradation
@@ -67,7 +68,7 @@ pub mod pyramid;
 pub mod shard;
 pub mod snapshot;
 
-pub use backend::{build_backend, model_fingerprint, CoresetKde, HbeKde};
+pub use backend::{model_fingerprint, CoresetCache, CoresetKde, DensityBackend};
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_with_fallback, save_checkpoint, CheckpointDriver,
     CheckpointPayload, SCHEMA_VERSION,

@@ -7,17 +7,17 @@
 //! 2. a `CoresetKde` never deviates from the exact density by more than
 //!    its own `certified_error()` bound, and that bound respects the
 //!    requested `eps` times the model's peak density bound;
-//! 3. the `Hbe` backend is deterministic: the same (model, query,
-//!    subspace) pair always reproduces the same bits.
+//! 3. the `Coreset` backend is deterministic: the same (model, query,
+//!    subspace) pair always reproduces the same bits, across rebuilds.
 //!
 //! The generator is a hand-rolled xorshift so every case is replayable
 //! from the printed seed — no external property-testing dependency.
 
-use std::sync::Arc;
 use udm_core::{Subspace, UncertainPoint};
-use udm_kde::{BackendSpec, DensityBackend, KdeConfig};
+use udm_kde::{BackendSpec, KdeConfig};
 use udm_microcluster::{
-    build_backend, CoresetKde, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer,
+    CoresetCache, CoresetKde, DensityBackend, MaintainerConfig, MicroClusterKde,
+    MicroClusterMaintainer,
 };
 
 /// xorshift64* — deterministic, seed-replayable case generation.
@@ -104,7 +104,7 @@ fn exact_backend_is_bit_identical_on_random_models() {
         let n = 40 + rng.below(160);
         let q = 8 + rng.below(24);
         let kde = random_model(&mut rng, dim, n, q);
-        let backend = build_backend(&kde, &BackendSpec::Exact).unwrap();
+        let backend = DensityBackend::Exact(&kde);
         assert_eq!(backend.name(), "exact", "case seed {seed}");
         for _ in 0..16 {
             let (x, errors) = random_query(&mut rng, dim);
@@ -137,10 +137,7 @@ fn exact_backend_is_bit_identical_on_random_models() {
                 .unwrap();
             assert_eq!(many.len(), 1);
             assert_eq!(many[0].to_bits(), want.to_bits(), "case seed {seed}");
-            let cols = backend
-                .kernel_columns(&x, errors.as_deref())
-                .unwrap()
-                .expect("exact backend factorizes");
+            let cols = backend.kernel_columns(&x, errors.as_deref()).unwrap();
             assert_eq!(
                 cols.density(sub).unwrap().to_bits(),
                 want.to_bits(),
@@ -173,7 +170,7 @@ fn coreset_respects_its_certified_error_on_random_models() {
         for _ in 0..24 {
             let (x, _) = random_query(&mut rng, dim);
             let exact = kde.density(&x).unwrap();
-            let approx = coreset.density(&x).unwrap();
+            let approx = coreset.inner().density(&x).unwrap();
             // Absolute L∞ guarantee plus float slack from the bound
             // arithmetic itself.
             let slack = budget + 1e-9 * (1.0 + exact.abs());
@@ -192,33 +189,31 @@ fn approximate_backends_are_deterministic_across_rebuilds() {
         let mut rng = Rng::new(seed);
         let dim = 1 + rng.below(3);
         let kde = random_model(&mut rng, dim, 120, 24);
-        let specs = [
-            BackendSpec::Coreset { eps: 0.1 },
-            BackendSpec::Hbe {
-                eps: 0.25,
-                tau: 0.02,
-            },
-        ];
-        for spec in specs {
-            let a: Arc<dyn DensityBackend> = build_backend(&kde, &spec).unwrap();
-            let b: Arc<dyn DensityBackend> = build_backend(&kde, &spec).unwrap();
-            for _ in 0..12 {
-                let (x, errors) = random_query(&mut rng, dim);
-                let sub = random_subspace(&mut rng, dim);
-                let first = a.density_subspace(&x, errors.as_deref(), sub).unwrap();
-                let again = a.density_subspace(&x, errors.as_deref(), sub).unwrap();
-                let rebuilt = b.density_subspace(&x, errors.as_deref(), sub).unwrap();
-                assert_eq!(
-                    first.to_bits(),
-                    again.to_bits(),
-                    "{spec} not stable across repeat queries, case seed {seed}"
-                );
-                assert_eq!(
-                    first.to_bits(),
-                    rebuilt.to_bits(),
-                    "{spec} not stable across rebuilds, case seed {seed}"
-                );
-            }
+        let spec = BackendSpec::Coreset { eps: 0.1 };
+        let a = CoresetCache::default()
+            .resolve(&spec, [&kde])
+            .unwrap()
+            .remove(0);
+        let b = CoresetCache::default()
+            .resolve(&spec, [&kde])
+            .unwrap()
+            .remove(0);
+        for _ in 0..12 {
+            let (x, errors) = random_query(&mut rng, dim);
+            let sub = random_subspace(&mut rng, dim);
+            let first = a.density_subspace(&x, errors.as_deref(), sub).unwrap();
+            let again = a.density_subspace(&x, errors.as_deref(), sub).unwrap();
+            let rebuilt = b.density_subspace(&x, errors.as_deref(), sub).unwrap();
+            assert_eq!(
+                first.to_bits(),
+                again.to_bits(),
+                "{spec} not stable across repeat queries, case seed {seed}"
+            );
+            assert_eq!(
+                first.to_bits(),
+                rebuilt.to_bits(),
+                "{spec} not stable across rebuilds, case seed {seed}"
+            );
         }
     }
 }

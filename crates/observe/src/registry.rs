@@ -460,6 +460,7 @@ pub fn global() -> &'static Registry {
 }
 
 /// FNV-1a over the metric name; cheap, stable shard selection.
+// Not `udm_core::fnv`: udm-core depends on udm-observe, not the reverse.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

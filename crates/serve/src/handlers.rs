@@ -12,7 +12,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use udm_core::num::ensure_finite_slice;
 use udm_core::{Result, Subspace, UdmError};
-use udm_kde::{BackendSpec, DensityBackend};
+use udm_kde::BackendSpec;
+use udm_microcluster::DensityBackend;
 
 /// A `/density` request body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,7 +25,7 @@ pub struct DensityRequest {
     /// Subspace dimensions (absent = full space).
     pub dims: Option<Vec<usize>>,
     /// Per-request density backend override
-    /// (`exact | coreset:EPS | hbe:EPS[,TAU]`; absent = the snapshot's
+    /// (`exact | coreset:EPS`; absent = the snapshot's
     /// default). Overridden requests are answered inline — they never
     /// enter the batch queue, so default-backend batching stays
     /// bit-identical.
@@ -162,28 +163,20 @@ fn subspace_of(dims: Option<&[usize]>, dim: usize) -> Result<Subspace> {
     }
 }
 
-/// Evaluates one density query against a resolved backend: the
-/// columnar fast path when the backend factorizes, the generic
-/// `density_subspace` entry otherwise.
+/// Evaluates one density query against a resolved backend: one
+/// kernel-column build, then the subspace product.
 fn density_via_backend(
-    backend: &dyn DensityBackend,
+    backend: &DensityBackend<'_>,
     req: &DensityRequest,
     subspace: Subspace,
     generation: u64,
 ) -> Result<DensityResponse> {
-    if let Some(cols) = backend.kernel_columns(&req.values, req.errors.as_deref())? {
-        return Ok(DensityResponse {
-            density: cols.density(subspace)?,
-            generation,
-            batch_size: 1,
-            columnar: cols.is_columnar(),
-        });
-    }
+    let cols = backend.kernel_columns(&req.values, req.errors.as_deref())?;
     Ok(DensityResponse {
-        density: backend.density_subspace(&req.values, req.errors.as_deref(), subspace)?,
+        density: cols.density(subspace)?,
         generation,
         batch_size: 1,
-        columnar: false,
+        columnar: cols.is_columnar(),
     })
 }
 
@@ -220,7 +213,7 @@ pub fn handle_density(
     if let Some(text) = req.backend.as_deref() {
         let spec = BackendSpec::parse(text)?;
         let backend = snap.backend_for(&spec)?.ok_or(UdmError::EmptyDataset)?;
-        return density_via_backend(backend.as_ref(), req, subspace, snap.generation);
+        return density_via_backend(&backend, req, subspace, snap.generation);
     }
     if let Some(queue) = queue {
         let reply = queue.submit(req.values.clone(), req.errors.clone(), subspace)?;
@@ -232,7 +225,7 @@ pub fn handle_density(
         });
     }
     let backend = snap.backend()?.ok_or(UdmError::EmptyDataset)?;
-    density_via_backend(backend.as_ref(), req, subspace, snap.generation)
+    density_via_backend(&backend, req, subspace, snap.generation)
 }
 
 /// Answers a `/classify` request via `classify_scored` (decision and
@@ -529,31 +522,31 @@ mod tests {
         assert_eq!(exact.density.to_bits(), default.density.to_bits());
         assert!(exact.columnar);
 
-        // Approximate overrides answer with finite positive estimates.
-        for spec in ["coreset:0.05", "hbe:0.2"] {
-            let got = handle_density(
+        // An approximate override answers with a finite positive estimate.
+        let got = handle_density(
+            &store,
+            None,
+            &DensityRequest {
+                backend: Some("coreset:0.05".into()),
+                ..base.clone()
+            },
+        )
+        .unwrap();
+        assert!(got.density.is_finite() && got.density > 0.0);
+
+        // A malformed or unknown spec is a caller mistake, not a server
+        // fault.
+        for spec in ["coreset:nope", "hbe:0.2"] {
+            let bad = handle_density(
                 &store,
                 None,
                 &DensityRequest {
                     backend: Some(spec.into()),
                     ..base.clone()
                 },
-            )
-            .unwrap();
-            assert!(got.density.is_finite() && got.density > 0.0, "{spec}");
+            );
+            assert_eq!(status_for(&bad.unwrap_err()), 400, "{spec}");
         }
-
-        // A malformed spec is a caller mistake, not a server fault.
-        let bad = handle_density(
-            &store,
-            None,
-            &DensityRequest {
-                backend: Some("coreset:nope".into()),
-                ..base
-            },
-        );
-        assert!(bad.is_err());
-        assert_eq!(status_for(&bad.unwrap_err()), 400);
     }
 
     #[test]
@@ -583,11 +576,21 @@ mod tests {
             &store,
             &ClassifyRequest {
                 backend: Some("coreset:0.05".into()),
-                ..base
+                ..base.clone()
             },
         )
         .unwrap();
         assert_eq!(coreset.label, default.label);
+
+        // An unknown backend is a caller mistake.
+        let bad = handle_classify(
+            &store,
+            &ClassifyRequest {
+                backend: Some("hbe:0.2".into()),
+                ..base
+            },
+        );
+        assert_eq!(status_for(&bad.unwrap_err()), 400);
     }
 
     #[test]

@@ -11,37 +11,17 @@
 //! identity fields, giving the concurrency stress tests an independent
 //! torn-read detector.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use udm_classify::DensityClassifier;
+use udm_core::fnv::{fnv1a, fnv1a_f64s, FNV_OFFSET};
 use udm_core::Result;
-use udm_kde::{BackendSpec, DensityBackend};
+use udm_kde::BackendSpec;
 use udm_microcluster::shard::{AggregateCft, MicroClusterModel};
-use udm_microcluster::{build_backend, MicroClusterKde};
+use udm_microcluster::{CoresetCache, DensityBackend, MicroClusterKde};
 
 /// Re-exported ingest counters type carried by each snapshot.
 pub use udm_microcluster::ingest::IngestCounters;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv1a_f64s(seed: u64, values: &[f64]) -> u64 {
-    let mut h = seed;
-    for &v in values {
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
-    }
-    h
-}
 
 /// Order- and representation-stable digest of an aggregate CFT: folds
 /// the raw bit patterns of `CF1/CF2/EF2`, the member count and the
@@ -80,9 +60,9 @@ pub struct ModelSnapshot {
     /// The density backend this generation serves through by default
     /// (per-request overrides still resolve against the same snapshot).
     pub backend_spec: BackendSpec,
-    /// Lazily-built, per-spec backend cache: coreset/HBE constructions
-    /// run once per (snapshot, spec), then every query shares the `Arc`.
-    backends: Mutex<HashMap<String, Arc<dyn DensityBackend>>>,
+    /// Coreset reductions of `kde`, built once per (snapshot, eps) and
+    /// shared by every query after.
+    coresets: CoresetCache,
     checksum: u64,
 }
 
@@ -108,7 +88,7 @@ impl ModelSnapshot {
             ingested,
             published: Instant::now(),
             backend_spec: BackendSpec::Exact,
-            backends: Mutex::new(HashMap::new()),
+            coresets: CoresetCache::default(),
             checksum: 0,
         };
         snap.checksum = snap.compute_checksum();
@@ -130,34 +110,21 @@ impl ModelSnapshot {
     /// # Errors
     ///
     /// Backend construction failures (invalid spec knobs).
-    pub fn backend(&self) -> Result<Option<Arc<dyn DensityBackend>>> {
+    pub fn backend(&self) -> Result<Option<DensityBackend<'_>>> {
         let spec = self.backend_spec;
         self.backend_for(&spec)
     }
 
     /// The density backend for an explicit spec — the per-request
-    /// override path. Built on first use, then shared via the per-spec
-    /// cache (snapshots are immutable, so a built backend never goes
-    /// stale within its generation).
+    /// override path. `Exact` is this snapshot's own KDE; a coreset is
+    /// built on first use, then shared (snapshots are immutable, so it
+    /// never goes stale within its generation).
     ///
     /// # Errors
     ///
     /// Backend construction failures (invalid spec knobs).
-    pub fn backend_for(&self, spec: &BackendSpec) -> Result<Option<Arc<dyn DensityBackend>>> {
-        let Some(kde) = &self.kde else {
-            return Ok(None);
-        };
-        let key = spec.to_string();
-        if let Ok(cache) = self.backends.lock() {
-            if let Some(be) = cache.get(&key) {
-                return Ok(Some(Arc::clone(be)));
-            }
-        }
-        let built = build_backend(kde, spec)?;
-        if let Ok(mut cache) = self.backends.lock() {
-            cache.insert(key, Arc::clone(&built));
-        }
-        Ok(Some(built))
+    pub fn backend_for(&self, spec: &BackendSpec) -> Result<Option<DensityBackend<'_>>> {
+        Ok(self.coresets.resolve(spec, &self.kde)?.pop())
     }
 
     fn compute_checksum(&self) -> u64 {
@@ -269,7 +236,7 @@ mod tests {
         assert_eq!(default.name(), "coreset");
         // The cache hands back the same instance for the same spec…
         let again = snap.backend().unwrap().unwrap();
-        assert!(Arc::ptr_eq(&default, &again));
+        assert!(std::ptr::eq(default.kde(), again.kde()));
         // …and an override resolves independently.
         let exact = snap.backend_for(&BackendSpec::Exact).unwrap().unwrap();
         assert_eq!(exact.name(), "exact");
@@ -282,6 +249,15 @@ mod tests {
             .density_subspace_with_error(&[1.0, 1.0], None, s)
             .unwrap();
         assert_eq!(d_exact.to_bits(), d_kde.to_bits());
+    }
+
+    #[test]
+    fn exact_backend_is_the_snapshots_own_kde() {
+        // No copy: the exact resolution borrows the published KDE.
+        let snap = snapshot_of(1, 12, 0.0);
+        let exact = snap.backend().unwrap().unwrap();
+        assert_eq!(exact.name(), "exact");
+        assert!(std::ptr::eq(exact.kde(), snap.kde.as_ref().unwrap()));
     }
 
     #[test]
