@@ -1,7 +1,7 @@
-//! Columnar kernel hot path + profitable rayon seams, measured.
+//! Columnar kernel hot path + the evaluation thread axis, measured.
 //!
 //! Extends the `bench_subspace_cache` matrix to `n = 100_000` and pins
-//! down the three claims of the SIMD/parallelism work, all inside one
+//! down the two claims of the SIMD/parallelism work, all inside one
 //! binary (the bounded-error `fast_exp` is always compiled; only the
 //! hot-path routing is feature-gated):
 //!
@@ -9,31 +9,21 @@
 //!   scalar reference builder vs the SoA columnar builder vs the
 //!   columnar builder with `fast_exp`, plus a raw `exp` throughput
 //!   microbench (`exp_std` vs `exp_fast`).
-//! * **Profitable rayon seams, same workload both sides** — a batch of
-//!   roll-up sweeps run sequentially vs through the crossover-guarded
-//!   parallel map (`rollup_batch_seq` vs `rollup_batch_rayon`). Unlike
-//!   the old `rollup_cached_rayon` bench, both sides process the *same*
-//!   batch, so the ratio is a true parallelism measurement — and the
-//!   guard means the rayon side degrades to the sequential loop rather
-//!   than losing below the crossover or on a 1-core host.
 //! * **Thread scaling** — `evaluate_par` over an explicit 1/2/4/8
 //!   thread axis against `evaluate_seq` on the same subset.
 //!
 //! Medians and derived ratios go to `results/BENCH_simd_parallel.json`
 //! (the old `BENCH_subspace_cache.json` baseline is left untouched).
-//! The report records `host_cores` and `fast_math_enabled`: on a 1-core
-//! container every parallel ratio is expected to sit at ≈ 1.0 (the
-//! vendored rayon falls back to sequential execution), which the
+//! The report records `host_cores` and `fast_math_enabled`: thread
+//! counts above `host_cores` cannot scale further, which the
 //! `criteria_notes` call out rather than paper over.
 //!
 //! `UDM_BENCH_QUICK=1` shrinks the matrix and sampling for CI smoke.
 
 use criterion::{black_box, Criterion};
 use std::time::Duration;
-use udm_classify::{
-    evaluate, evaluate_parallel, guarded_par_map, ClassifierConfig, DensityClassifier,
-};
-use udm_core::{Subspace, UncertainDataset};
+use udm_classify::{evaluate, evaluate_parallel, ClassifierConfig, DensityClassifier};
+use udm_core::UncertainDataset;
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
 use udm_kde::{fast_exp, ErrorKde, KdeConfig};
 use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
@@ -67,27 +57,6 @@ fn synthetic(n: usize, d: usize, seed: u64) -> UncertainDataset {
     ErrorModel::paper(1.0)
         .apply(&g.generate(n, seed), seed + 1)
         .unwrap()
-}
-
-/// Contiguous windows of lengths 1–4 — the roll-up lattice slice.
-fn rollup_subspaces(d: usize) -> Vec<Subspace> {
-    let mut subs = Vec::new();
-    for len in 1..=4usize {
-        for start in 0..=(d - len) {
-            let dims: Vec<usize> = (start..start + len).collect();
-            subs.push(Subspace::from_dims(&dims).unwrap());
-        }
-    }
-    subs
-}
-
-fn cached_sweep(kde: &MicroClusterKde, x: &[f64], subs: &[Subspace]) -> f64 {
-    let cols = kde.kernel_columns(x, None).unwrap();
-    let mut acc = 0.0;
-    for &s in subs {
-        acc += cols.density(s).unwrap();
-    }
-    acc
 }
 
 fn bench_simd_parallel(c: &mut Criterion) {
@@ -126,7 +95,6 @@ fn bench_simd_parallel(c: &mut Criterion) {
     for &(n, d) in &matrix() {
         let tag = format!("n{n}_d{d}");
         let data = synthetic(n, d, 7);
-        let subs = rollup_subspaces(d);
         let probe = data.point(0).clone();
         let x: Vec<f64> = probe.values().to_vec();
 
@@ -154,31 +122,6 @@ fn bench_simd_parallel(c: &mut Criterion) {
         });
         group.bench_function(format!("mc_build_fastexp/{tag}"), |b| {
             b.iter(|| mc.kernel_columns_fastexp(black_box(&x)).unwrap().rows())
-        });
-
-        // --- Same-workload rollup batch: sequential vs guarded rayon --
-        let batch: Vec<Vec<f64>> = (0..64.min(data.len()))
-            .map(|i| data.point(i).values().to_vec())
-            .collect();
-        group.bench_function(format!("rollup_batch_seq/{tag}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for q in black_box(&batch) {
-                    acc += cached_sweep(&mc, q, &subs);
-                }
-                acc
-            })
-        });
-        let threads = rayon::current_num_threads().max(1);
-        group.bench_function(format!("rollup_batch_rayon/{tag}"), |b| {
-            b.iter(|| {
-                guarded_par_map(black_box(&batch), threads, |q| {
-                    Ok(cached_sweep(&mc, q, &subs))
-                })
-                .unwrap()
-                .iter()
-                .sum::<f64>()
-            })
         });
 
         // --- Thread-scaling axis for the evaluation harness -----------
@@ -220,9 +163,6 @@ struct ThreadScaling {
 #[derive(serde::Serialize)]
 struct Comparison {
     config: String,
-    /// `rollup_batch_seq / rollup_batch_rayon`: ≥ 1.0 means the guarded
-    /// rayon seam never loses to the sequential loop on this workload.
-    rollup_seq_over_rayon: f64,
     /// `mc_build_scalar / mc_build_columnar`: the SoA layout win with
     /// the build's default exp.
     build_scalar_over_columnar: f64,
@@ -260,8 +200,6 @@ fn dump_json(c: &Criterion) {
         let tag = format!("n{n}_d{d}");
         comparisons.push(Comparison {
             config: tag.clone(),
-            rollup_seq_over_rayon: seconds(&format!("rollup_batch_seq/{tag}"))
-                / seconds(&format!("rollup_batch_rayon/{tag}")),
             build_scalar_over_columnar: seconds(&format!("mc_build_scalar/{tag}"))
                 / seconds(&format!("mc_build_columnar/{tag}")),
             build_columnar_over_fastexp: seconds(&format!("mc_build_columnar/{tag}"))
@@ -278,10 +216,6 @@ fn dump_json(c: &Criterion) {
     }
 
     let mut criteria_notes = vec![
-        "rollup_batch_seq and rollup_batch_rayon process the same 64-query batch; \
-         the rayon side uses the crossover-guarded map (PAR_CROSSOVER_POINTS), so \
-         seq_over_rayon >= ~1.0 is expected at every size."
-            .to_string(),
         "exp_fast_speedup is the single-thread exp throughput ratio; the >=2x \
          fast-math kernel-eval criterion is read from it together with \
          build_columnar_over_fastexp."
@@ -289,10 +223,10 @@ fn dump_json(c: &Criterion) {
     ];
     if host_cores < 4 {
         criteria_notes.push(format!(
-            "host has {host_cores} core(s): the vendored rayon executes sequentially, \
-             so evaluate_par thread-scaling ratios are expected to sit at ~1.0 and the \
-             >=2x-at-4-cores criterion is not demonstrable in this container; the \
-             thread axis is still recorded for multi-core reruns."
+            "host has {host_cores} core(s): evaluate_par thread-scaling ratios \
+             cannot rise past ~{host_cores}x, so the >=2x-at-4-cores criterion is not \
+             demonstrable on this host; the thread axis is still recorded for \
+             multi-core reruns."
         ));
     }
 
@@ -324,11 +258,8 @@ fn dump_json(c: &Criterion) {
     println!("exp_std/exp_fast: {exp_fast_speedup:.2}x");
     for cmp in &report.comparisons {
         println!(
-            "{}: rollup seq/rayon {:.2}x, build scalar/columnar {:.2}x, columnar/fastexp {:.2}x",
-            cmp.config,
-            cmp.rollup_seq_over_rayon,
-            cmp.build_scalar_over_columnar,
-            cmp.build_columnar_over_fastexp
+            "{}: build scalar/columnar {:.2}x, columnar/fastexp {:.2}x",
+            cmp.config, cmp.build_scalar_over_columnar, cmp.build_columnar_over_fastexp
         );
     }
 }

@@ -38,9 +38,8 @@ fn main() {
             .expect("split succeeds");
 
         let q = 140;
-        let adjusted =
-            DensityClassifier::fit_parallel(&split.train, ClassifierConfig::error_adjusted(q))
-                .expect("training succeeds");
+        let adjusted = DensityClassifier::fit(&split.train, ClassifierConfig::error_adjusted(q))
+            .expect("training succeeds");
         let unadjusted = DensityClassifier::fit(&split.train, ClassifierConfig::unadjusted(q))
             .expect("training succeeds");
         let naive = NaiveDensityBayes::fit(&split.train, ClassifierConfig::error_adjusted(q))

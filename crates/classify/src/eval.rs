@@ -12,7 +12,7 @@ pub trait Classifier: Sync {
 }
 
 /// Outcome of evaluating a classifier on a labelled test set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EvalReport {
     /// Number of labelled test points evaluated.
     pub n: usize,
@@ -132,6 +132,12 @@ impl std::fmt::Display for EvalReport {
     }
 }
 
+/// Below this many test points [`evaluate_parallel`] runs as one chunk:
+/// per-point work in this crate is tens of microseconds (column build +
+/// subspace roll-up) and a fork/join costs a few microseconds per chunk,
+/// so smaller batches do not amortize it.
+const PAR_CROSSOVER_POINTS: usize = 32;
+
 /// Evaluates a classifier sequentially over the labelled points of `test`.
 ///
 /// # Errors
@@ -139,91 +145,66 @@ impl std::fmt::Display for EvalReport {
 /// [`UdmError::EmptyDataset`] if `test` contains no labelled point;
 /// classification errors propagate.
 pub fn evaluate<C: Classifier>(model: &C, test: &UncertainDataset) -> Result<EvalReport> {
-    let start = Instant::now();
-    let mut n = 0;
-    let mut correct = 0;
-    let mut confusion: BTreeMap<(ClassLabel, ClassLabel), usize> = BTreeMap::new();
-    for p in test.iter() {
-        let Some(actual) = p.label() else { continue };
-        let predicted = model.classify(p)?;
-        n += 1;
-        if predicted == actual {
-            correct += 1;
-        }
-        *confusion.entry((actual, predicted)).or_insert(0) += 1;
-    }
-    if n == 0 {
-        return Err(UdmError::EmptyDataset);
-    }
-    Ok(EvalReport {
-        n,
-        correct,
-        confusion,
-        elapsed: start.elapsed(),
-    })
+    evaluate_parallel(model, test, 1)
 }
 
 /// Evaluates a classifier in parallel with rayon, chunking the test set
-/// by index (`threads` sets the chunk count) and merging the partial
-/// reports in chunk order.
+/// by index (`threads` sets the chunk count) and merging the per-chunk
+/// tallies in chunk order.
 ///
 /// Produces the same counts as [`evaluate`] for any deterministic
-/// classifier; only `elapsed` (wall-clock) differs. Batches below
-/// [`crate::batch::PAR_CROSSOVER_POINTS`] run sequentially — rayon's
-/// fork/join overhead is not amortized there, so the guard keeps the
-/// parallel entry point from ever losing to [`evaluate`] on small
-/// test sets.
+/// classifier; only `elapsed` (wall-clock) differs. `threads <= 1`, or a
+/// test set below the crossover of 32 points, is a single chunk on the
+/// calling thread, exactly [`evaluate`].
+///
+/// # Errors
+///
+/// As [`evaluate`]; the lowest-indexed failing chunk's error is reported.
 pub fn evaluate_parallel<C: Classifier>(
     model: &C,
     test: &UncertainDataset,
     threads: usize,
 ) -> Result<EvalReport> {
-    if threads <= 1 || test.len() < crate::batch::PAR_CROSSOVER_POINTS {
-        return evaluate(model, test);
-    }
     let start = Instant::now();
     let points = test.points();
-    let chunk = points.len().div_ceil(threads).max(1);
-    type Partial = (usize, usize, BTreeMap<(ClassLabel, ClassLabel), usize>);
-    let partials: Vec<Result<Partial>> = points
-        .par_chunks(chunk)
-        .map(|slice| {
-            let mut n = 0;
-            let mut correct = 0;
-            let mut confusion = BTreeMap::new();
-            for p in slice {
-                let Some(actual) = p.label() else { continue };
-                let predicted = model.classify(p)?;
-                n += 1;
-                if predicted == actual {
-                    correct += 1;
-                }
-                *confusion.entry((actual, predicted)).or_insert(0) += 1;
-            }
-            Ok((n, correct, confusion))
-        })
-        .collect();
-
-    let mut n = 0;
-    let mut correct = 0;
-    let mut confusion: BTreeMap<(ClassLabel, ClassLabel), usize> = BTreeMap::new();
+    let partials: Vec<Result<EvalReport>> = if threads <= 1 || points.len() < PAR_CROSSOVER_POINTS {
+        vec![tally(model, points)]
+    } else {
+        points
+            .par_chunks(points.len().div_ceil(threads))
+            .map(|chunk| tally(model, chunk))
+            .collect()
+    };
+    let mut report = EvalReport::default();
     for partial in partials {
-        let (pn, pc, pconf) = partial?;
-        n += pn;
-        correct += pc;
-        for (k, v) in pconf {
-            *confusion.entry(k).or_insert(0) += v;
+        let partial = partial?;
+        report.n += partial.n;
+        report.correct += partial.correct;
+        for (k, v) in partial.confusion {
+            *report.confusion.entry(k).or_insert(0) += v;
         }
     }
-    if n == 0 {
+    if report.n == 0 {
         return Err(UdmError::EmptyDataset);
     }
-    Ok(EvalReport {
-        n,
-        correct,
-        confusion,
-        elapsed: start.elapsed(),
-    })
+    report.elapsed = start.elapsed();
+    Ok(report)
+}
+
+/// Classifies the labelled points of one chunk, stopping at the first
+/// error; `elapsed` is left at zero for the caller to fill in.
+fn tally<C: Classifier>(model: &C, points: &[UncertainPoint]) -> Result<EvalReport> {
+    let mut report = EvalReport::default();
+    for p in points {
+        let Some(actual) = p.label() else { continue };
+        let predicted = model.classify(p)?;
+        report.n += 1;
+        if predicted == actual {
+            report.correct += 1;
+        }
+        *report.confusion.entry((actual, predicted)).or_insert(0) += 1;
+    }
+    Ok(report)
 }
 
 #[cfg(test)]

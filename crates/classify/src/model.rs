@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
 use udm_kde::{BackendSpec, KernelColumns};
 use udm_microcluster::{
-    CoresetCache, DensityBackend, MaintainerConfig, MicroClusterKde, MicroClusterMaintainer,
+    CoresetCache, DensityBackend, MaintainerConfig, MicroCluster, MicroClusterKde,
+    MicroClusterMaintainer,
 };
 
 /// A trained density-based classifier.
@@ -213,6 +214,115 @@ impl AccuracyOracle for KdeOracle<'_> {
     }
 }
 
+/// One class's share of the training summaries.
+pub(crate) struct ClassSummary {
+    pub(crate) label: ClassLabel,
+    /// `|D_i|`.
+    pub(crate) size: usize,
+    /// The `q_i`-cluster summary of `D_i`.
+    pub(crate) summary: MicroClusterMaintainer,
+}
+
+/// The micro-cluster summaries both density classifiers are built from —
+/// the paper's one-time preprocessing (§3).
+pub(crate) struct Summaries {
+    /// The `q`-cluster summary of all of `D`.
+    pub(crate) global: MicroClusterMaintainer,
+    /// One summary per class, in label order, with `q_i` proportional to
+    /// `|D_i|` and at least 1.
+    pub(crate) classes: Vec<ClassSummary>,
+    /// Shared bandwidths from the aggregated global statistics, so every
+    /// density in Eq. 11's ratio is estimated on the same scale.
+    bandwidths: Vec<f64>,
+}
+
+impl Summaries {
+    /// Validates `config`, partitions `train` by class and builds the
+    /// global summary alongside the per-class ones. Each summary is a
+    /// deterministic function of its own partition, so running them
+    /// concurrently yields the same bits as running them in turn.
+    ///
+    /// # Errors
+    ///
+    /// Configuration validation errors; [`UdmError::InvalidConfig`] when
+    /// the training data has fewer than 2 classes.
+    pub(crate) fn build(train: &UncertainDataset, config: &ClassifierConfig) -> Result<Self> {
+        config.validate()?;
+        let partition = train.partition_by_class();
+        if partition.num_classes() < 2 {
+            return Err(UdmError::InvalidConfig(format!(
+                "training data has {} class(es); need at least 2",
+                partition.num_classes()
+            )));
+        }
+        let q = config.micro_clusters;
+        let summarize = |data: &UncertainDataset, max_clusters: usize| {
+            MicroClusterMaintainer::from_dataset(
+                data,
+                MaintainerConfig {
+                    max_clusters,
+                    distance: config.distance,
+                },
+            )
+        };
+        let (global, classes) = rayon::join(
+            || summarize(train, q),
+            || {
+                partition
+                    .labels()
+                    .par_iter()
+                    .map(|&label| {
+                        let data = partition
+                            .class(label)
+                            .ok_or(UdmError::UnknownLabel(label.id()))?;
+                        // The per-class budget q_i <= q, which fits in usize.
+                        #[allow(clippy::cast_possible_truncation)]
+                        let q_i = ((q as f64 * data.len() as f64 / train.len() as f64).round()
+                            as usize)
+                            .max(1);
+                        Ok(ClassSummary {
+                            label,
+                            size: data.len(),
+                            summary: summarize(data, q_i)?,
+                        })
+                    })
+                    .collect::<Result<Vec<_>>>()
+            },
+        );
+        let global = global?;
+
+        let mut agg = MicroCluster::new(train.dim());
+        for c in global.clusters() {
+            agg.merge(c)?;
+        }
+        let sigmas: Vec<f64> = (0..train.dim())
+            .map(|j| udm_core::num::clamped_sqrt(agg.variance(j)))
+            .collect();
+        let bandwidths = config
+            .bandwidth
+            .bandwidths_from_sigmas(&sigmas, train.len())?;
+        Ok(Summaries {
+            global,
+            classes: classes?,
+            bandwidths,
+        })
+    }
+
+    /// A KDE over `clusters` at the shared bandwidths.
+    pub(crate) fn kde(
+        &self,
+        clusters: &[MicroCluster],
+        config: &ClassifierConfig,
+    ) -> Result<MicroClusterKde> {
+        MicroClusterKde::fit_with_bandwidths(
+            clusters,
+            self.bandwidths.clone(),
+            config.kernel_form,
+            config.error_adjusted,
+        )
+    }
+}
+
 impl DensityClassifier {
     /// Trains the classifier on a labelled dataset.
     ///
@@ -222,180 +332,18 @@ impl DensityClassifier {
     /// the training data has fewer than 2 classes.
     pub fn fit(train: &UncertainDataset, config: ClassifierConfig) -> Result<Self> {
         let _span_fit = udm_observe::span!("classify_fit");
-        config.validate()?;
-        let partition = train.partition_by_class();
-        if partition.num_classes() < 2 {
-            return Err(UdmError::InvalidConfig(format!(
-                "training data has {} class(es); need at least 2",
-                partition.num_classes()
-            )));
-        }
-        let labels = partition.labels();
-        let q = config.micro_clusters;
-        let mc_config = MaintainerConfig {
-            max_clusters: q,
-            distance: config.distance,
-        };
-
-        // Global summary over all of D.
-        let global = MicroClusterMaintainer::from_dataset(train, mc_config)?;
-
-        // Shared bandwidths from the aggregated global statistics.
-        let mut agg = udm_microcluster::MicroCluster::new(train.dim());
-        for c in global.clusters() {
-            agg.merge(c)?;
-        }
-        let sigmas: Vec<f64> = (0..train.dim())
-            .map(|j| udm_core::num::clamped_sqrt(agg.variance(j)))
-            .collect();
-        let bandwidths = config
-            .bandwidth
-            .bandwidths_from_sigmas(&sigmas, train.len())?;
-
-        let global_kde = MicroClusterKde::fit_with_bandwidths(
-            global.clusters(),
-            bandwidths.clone(),
-            config.kernel_form,
-            config.error_adjusted,
-        )?;
-
-        // Per-class summaries: q_i proportional to |D_i|, at least 1.
-        let mut class_kdes = Vec::with_capacity(labels.len());
-        let mut priors = Vec::with_capacity(labels.len());
-        let mut majority = (labels[0], 0usize);
-        for &label in &labels {
-            let class_data = partition
-                .class(label)
-                .ok_or(UdmError::UnknownLabel(label.id()))?;
-            // The per-class budget q_i <= q, which fits in usize.
-            #[allow(clippy::cast_possible_truncation)]
-            let q_i =
-                ((q as f64 * class_data.len() as f64 / train.len() as f64).round() as usize).max(1);
-            let m = MicroClusterMaintainer::from_dataset(
-                class_data,
-                MaintainerConfig {
-                    max_clusters: q_i,
-                    distance: config.distance,
-                },
-            )?;
-            class_kdes.push(MicroClusterKde::fit_with_bandwidths(
-                m.clusters(),
-                bandwidths.clone(),
-                config.kernel_form,
-                config.error_adjusted,
-            )?);
-            priors.push(class_data.len() as f64 / train.len() as f64);
-            if class_data.len() > majority.1 {
-                majority = (label, class_data.len());
-            }
-        }
-
-        Ok(DensityClassifier {
-            config,
-            dim: train.dim(),
-            labels,
-            priors,
-            class_kdes,
-            global_kde,
-            majority: majority.0,
-            runtime: BackendRuntime::default(),
-        })
-    }
-
-    /// Like [`DensityClassifier::fit`], but builds the global and
-    /// per-class micro-cluster summaries on rayon worker threads.
-    /// Produces a model identical to the sequential one: the summaries
-    /// are deterministic functions of their input partition, and the
-    /// per-class results are merged in label order.
-    pub fn fit_parallel(train: &UncertainDataset, config: ClassifierConfig) -> Result<Self> {
-        let _span_fit = udm_observe::span!("classify_fit_parallel");
-        config.validate()?;
-        let partition = train.partition_by_class();
-        if partition.num_classes() < 2 {
-            return Err(UdmError::InvalidConfig(format!(
-                "training data has {} class(es); need at least 2",
-                partition.num_classes()
-            )));
-        }
-        let labels = partition.labels();
-        let q = config.micro_clusters;
-
-        // Global summary + per-class maintainers, concurrently.
-        type MaintainerResult = Result<MicroClusterMaintainer>;
-        let (global, class_results): (MaintainerResult, Vec<(ClassLabel, MaintainerResult)>) =
-            rayon::join(
-                || {
-                    MicroClusterMaintainer::from_dataset(
-                        train,
-                        MaintainerConfig {
-                            max_clusters: q,
-                            distance: config.distance,
-                        },
-                    )
-                },
-                || {
-                    labels
-                        .par_iter()
-                        .map(|&label| {
-                            let class_data = match partition.class(label) {
-                                Some(d) => d,
-                                None => return (label, Err(UdmError::UnknownLabel(label.id()))),
-                            };
-                            // The per-class budget q_i <= q, which fits in usize.
-                            #[allow(clippy::cast_possible_truncation)]
-                            let q_i = ((q as f64 * class_data.len() as f64 / train.len() as f64)
-                                .round() as usize)
-                                .max(1);
-                            (
-                                label,
-                                MicroClusterMaintainer::from_dataset(
-                                    class_data,
-                                    MaintainerConfig {
-                                        max_clusters: q_i,
-                                        distance: config.distance,
-                                    },
-                                ),
-                            )
-                        })
-                        .collect()
-                },
-            );
-
-        let global = global?;
-        let mut agg = udm_microcluster::MicroCluster::new(train.dim());
-        for c in global.clusters() {
-            agg.merge(c)?;
-        }
-        let sigmas: Vec<f64> = (0..train.dim())
-            .map(|j| udm_core::num::clamped_sqrt(agg.variance(j)))
-            .collect();
-        let bandwidths = config
-            .bandwidth
-            .bandwidths_from_sigmas(&sigmas, train.len())?;
-        let global_kde = MicroClusterKde::fit_with_bandwidths(
-            global.clusters(),
-            bandwidths.clone(),
-            config.kernel_form,
-            config.error_adjusted,
-        )?;
-
-        let mut class_kdes = Vec::with_capacity(labels.len());
-        let mut priors = Vec::with_capacity(labels.len());
-        let mut majority = (labels[0], 0usize);
-        for (label, maintainer) in class_results {
-            let maintainer = maintainer?;
-            // Point counts come from an in-memory dataset; usize holds them.
-            #[allow(clippy::cast_possible_truncation)]
-            let class_len = maintainer.points_seen() as usize;
-            class_kdes.push(MicroClusterKde::fit_with_bandwidths(
-                maintainer.clusters(),
-                bandwidths.clone(),
-                config.kernel_form,
-                config.error_adjusted,
-            )?);
-            priors.push(class_len as f64 / train.len() as f64);
-            if class_len > majority.1 {
-                majority = (label, class_len);
+        let summaries = Summaries::build(train, &config)?;
+        let global_kde = summaries.kde(summaries.global.clusters(), &config)?;
+        let mut labels = Vec::with_capacity(summaries.classes.len());
+        let mut class_kdes = Vec::with_capacity(summaries.classes.len());
+        let mut priors = Vec::with_capacity(summaries.classes.len());
+        let mut majority = (summaries.classes[0].label, 0usize);
+        for class in &summaries.classes {
+            labels.push(class.label);
+            class_kdes.push(summaries.kde(class.summary.clusters(), &config)?);
+            priors.push(class.size as f64 / train.len() as f64);
+            if class.size > majority.1 {
+                majority = (class.label, class.size);
             }
         }
 
@@ -894,20 +842,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fit_equals_sequential_fit() {
-        let g = informative_mixture();
-        let train = g.generate(400, 99);
-        let seq = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(30)).unwrap();
-        let par =
-            DensityClassifier::fit_parallel(&train, ClassifierConfig::error_adjusted(30)).unwrap();
-        let test = g.generate(80, 100);
-        for p in test.iter() {
-            assert_eq!(seq.classify(p).unwrap(), par.classify(p).unwrap());
+    fn fitted_models_match_golden_digests() {
+        // Pins every bit of both fitted models: the serialized form is an
+        // exact float round-trip, so any change to the summary schedule,
+        // the budgets or the bandwidths moves these digests. The digests
+        // hold for debug, release and `fast-math` builds alike (training
+        // evaluates no kernel).
+        use crate::naive::NaiveDensityBayes;
+        use udm_core::fnv::{fnv1a, FNV_OFFSET};
+        use udm_data::UciDataset;
+        let clean = UciDataset::ForestCover.generate(2000, 5);
+        let train = ErrorModel::paper(1.0).apply(&clean, 6).unwrap();
+        let digest = |json: String| format!("{:016x}", fnv1a(FNV_OFFSET, json.as_bytes()));
+        for (q, model_digest, naive_digest) in [
+            (40, "0d5c485ba9e9d2f3", "80a29bf33c91a77a"),
+            (140, "99ce7b8e31e88b40", "63ee09fc5451fd04"),
+        ] {
+            let config = ClassifierConfig::error_adjusted(q);
+            let model = DensityClassifier::fit(&train, config).unwrap();
+            assert_eq!(digest(model.to_json().unwrap()), model_digest, "q={q}");
+            let naive = NaiveDensityBayes::fit(&train, config).unwrap();
+            let json = serde_json::to_string(&naive).unwrap();
+            assert_eq!(digest(json), naive_digest, "naive q={q}");
         }
-        assert_eq!(seq.labels(), par.labels());
-        // The parallel fit is *bitwise* identical, not merely equivalent:
-        // the serialized models (exact float round-trip) must match.
-        assert_eq!(seq.to_json().unwrap(), par.to_json().unwrap());
     }
 
     #[test]
@@ -1014,7 +971,7 @@ mod tests {
 
     #[test]
     fn backend_runtime_does_not_change_serialized_form() {
-        // `parallel_fit_equals_sequential_fit` compares JSON strings; the
+        // `fitted_models_match_golden_digests` digests JSON strings; the
         // runtime field must serialize identically (Null) on every model.
         let g = informative_mixture();
         let train = g.generate(200, 140);

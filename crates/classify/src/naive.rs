@@ -17,11 +17,11 @@
 
 use crate::config::ClassifierConfig;
 use crate::eval::Classifier;
-use crate::model::BackendRuntime;
+use crate::model::{BackendRuntime, Summaries};
 use serde::{Deserialize, Serialize};
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
 use udm_kde::BackendSpec;
-use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
+use udm_microcluster::MicroClusterKde;
 
 /// A trained naive density Bayes classifier.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -38,61 +38,15 @@ impl NaiveDensityBayes {
     /// Trains on a labelled dataset using the classifier configuration's
     /// micro-cluster budget, bandwidth rule and error-adjustment flags.
     pub fn fit(train: &UncertainDataset, config: ClassifierConfig) -> Result<Self> {
-        config.validate()?;
-        let partition = train.partition_by_class();
-        if partition.num_classes() < 2 {
-            return Err(UdmError::InvalidConfig(format!(
-                "training data has {} class(es); need at least 2",
-                partition.num_classes()
-            )));
-        }
-        let labels = partition.labels();
-
-        // Shared bandwidths from a global summary, as in the full model.
-        let global = MicroClusterMaintainer::from_dataset(
-            train,
-            MaintainerConfig {
-                max_clusters: config.micro_clusters,
-                distance: config.distance,
-            },
-        )?;
-        let mut agg = udm_microcluster::MicroCluster::new(train.dim());
-        for c in global.clusters() {
-            agg.merge(c)?;
-        }
-        let sigmas: Vec<f64> = (0..train.dim())
-            .map(|j| udm_core::num::clamped_sqrt(agg.variance(j)))
-            .collect();
-        let bandwidths = config
-            .bandwidth
-            .bandwidths_from_sigmas(&sigmas, train.len())?;
-
-        let mut class_kdes = Vec::with_capacity(labels.len());
-        let mut log_priors = Vec::with_capacity(labels.len());
-        for &label in &labels {
-            let class_data = partition
-                .class(label)
-                .ok_or(UdmError::UnknownLabel(label.id()))?;
-            // The per-class budget q_i <= micro_clusters, which fits in usize.
-            #[allow(clippy::cast_possible_truncation)]
-            let q_i =
-                ((config.micro_clusters as f64 * class_data.len() as f64 / train.len() as f64)
-                    .round() as usize)
-                    .max(1);
-            let m = MicroClusterMaintainer::from_dataset(
-                class_data,
-                MaintainerConfig {
-                    max_clusters: q_i,
-                    distance: config.distance,
-                },
-            )?;
-            class_kdes.push(MicroClusterKde::fit_with_bandwidths(
-                m.clusters(),
-                bandwidths.clone(),
-                config.kernel_form,
-                config.error_adjusted,
-            )?);
-            log_priors.push((class_data.len() as f64 / train.len() as f64).ln());
+        // The global summary only sets the shared bandwidths here.
+        let summaries = Summaries::build(train, &config)?;
+        let mut labels = Vec::with_capacity(summaries.classes.len());
+        let mut log_priors = Vec::with_capacity(summaries.classes.len());
+        let mut class_kdes = Vec::with_capacity(summaries.classes.len());
+        for class in &summaries.classes {
+            labels.push(class.label);
+            log_priors.push((class.size as f64 / train.len() as f64).ln());
+            class_kdes.push(summaries.kde(class.summary.clusters(), &config)?);
         }
 
         Ok(NaiveDensityBayes {
