@@ -42,7 +42,6 @@
 pub mod config;
 pub mod degraded;
 pub mod eval;
-pub mod kfold;
 pub mod model;
 pub mod naive;
 pub mod nn;
@@ -56,7 +55,6 @@ pub use degraded::{
     ShardedDegradationReport,
 };
 pub use eval::{evaluate, evaluate_parallel, Classifier, EvalReport};
-pub use kfold::{cross_validate, CrossValidationReport};
 pub use model::{ClassificationOutcome, DensityClassifier};
 pub use naive::NaiveDensityBayes;
 pub use nn::NnClassifier;

@@ -66,8 +66,8 @@ pub struct DensityClassifier {
 /// (constructions are deterministic but not free, so each `eps` is built
 /// once per model). Interior mutability lets serving layers flip
 /// backends on a shared `Arc<DensityClassifier>`. Never serialized —
-/// models on disk stay backend-agnostic, and a restored model starts
-/// back at `Exact`.
+/// the serialized model stays backend-agnostic, and a deserialized one
+/// starts back at `Exact`.
 #[derive(Debug, Default)]
 pub(crate) struct BackendRuntime {
     /// The default spec, read lock-free on every query: the coreset
@@ -362,20 +362,6 @@ impl DensityClassifier {
     /// The training configuration.
     pub fn config(&self) -> &ClassifierConfig {
         &self.config
-    }
-
-    /// Serializes the trained model to JSON (micro-cluster summaries,
-    /// bandwidths, priors — everything needed to classify).
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|e| UdmError::Io(e.to_string()))
-    }
-
-    /// Restores a trained model from JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| UdmError::Parse {
-            line: 0,
-            message: e.to_string(),
-        })
     }
 
     /// Data dimensionality.
@@ -860,7 +846,8 @@ mod tests {
         ] {
             let config = ClassifierConfig::error_adjusted(q);
             let model = DensityClassifier::fit(&train, config).unwrap();
-            assert_eq!(digest(model.to_json().unwrap()), model_digest, "q={q}");
+            let json = serde_json::to_string(&model).unwrap();
+            assert_eq!(digest(json), model_digest, "q={q}");
             let naive = NaiveDensityBayes::fit(&train, config).unwrap();
             let json = serde_json::to_string(&naive).unwrap();
             assert_eq!(digest(json), naive_digest, "naive q={q}");
@@ -872,13 +859,12 @@ mod tests {
         let g = informative_mixture();
         let train = g.generate(300, 97);
         let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(25)).unwrap();
-        let json = model.to_json().unwrap();
-        let restored = DensityClassifier::from_json(&json).unwrap();
+        let json = serde_json::to_string(&model).unwrap();
+        let restored: DensityClassifier = serde_json::from_str(&json).unwrap();
         let test = g.generate(60, 98);
         for p in test.iter() {
             assert_eq!(model.classify(p).unwrap(), restored.classify(p).unwrap());
         }
-        assert!(DensityClassifier::from_json("{bad").is_err());
     }
 
     #[test]
@@ -960,7 +946,8 @@ mod tests {
             BackendSpec::Coreset { eps: 0.1 }
         );
         // …but not serialization: persisted models are backend-agnostic.
-        let restored = DensityClassifier::from_json(&model.to_json().unwrap()).unwrap();
+        let json = serde_json::to_string(&model).unwrap();
+        let restored: DensityClassifier = serde_json::from_str(&json).unwrap();
         assert_eq!(restored.backend_spec(), BackendSpec::Exact);
         // Invalid specs are rejected and leave the default untouched.
         assert!(model
@@ -976,11 +963,11 @@ mod tests {
         let g = informative_mixture();
         let train = g.generate(200, 140);
         let model = DensityClassifier::fit(&train, ClassifierConfig::error_adjusted(20)).unwrap();
-        let before = model.to_json().unwrap();
+        let before = serde_json::to_string(&model).unwrap();
         model
             .set_backend(BackendSpec::Coreset { eps: 0.2 })
             .unwrap();
-        assert_eq!(model.to_json().unwrap(), before);
+        assert_eq!(serde_json::to_string(&model).unwrap(), before);
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub enum Command {
         /// Output file (`-`/absent = stdout).
         out: Option<PathBuf>,
     },
-    /// Stream a CSV into micro-clusters and write a JSON snapshot.
+    /// Stream a CSV into micro-clusters and export them as JSON (an
+    /// export only: `udm` reads back checkpoints, not this file).
     Summarize {
         /// Input CSV (canonical layout; see `udm-data::csv_io`).
         input: PathBuf,
@@ -46,7 +47,8 @@ pub enum Command {
         /// Ignore recorded errors (ψ ≡ 0).
         unadjusted: bool,
         /// Also render an ASCII chart of the 1-D density along the first
-        /// subspace dimension over `lo:hi:n`.
+        /// subspace dimension over `lo:hi:n`, from the same estimator
+        /// (exact or `q`-cluster) as the reported value.
         grid: Option<(f64, f64, usize)>,
     },
     /// Train on one CSV, evaluate on another, print the report.

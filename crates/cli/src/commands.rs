@@ -321,13 +321,18 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             } else {
                 KdeConfig::error_adjusted()
             };
-            let value = if q == 0 {
-                ErrorKde::fit(&data, config)?.density_subspace(&at, s)?
+            // One estimator answers both the headline query and the chart.
+            type Estimate<'a> = Box<dyn Fn(&[f64], Subspace) -> Result<f64> + 'a>;
+            let estimate: Estimate<'_> = if q == 0 {
+                let kde = ErrorKde::fit(&data, config)?;
+                Box::new(move |x, s| kde.density_subspace(x, s))
             } else {
                 let maintainer =
                     MicroClusterMaintainer::from_dataset(&data, MaintainerConfig::new(q))?;
-                MicroClusterKde::fit(maintainer.clusters(), config)?.density_subspace(&at, s)?
+                let kde = MicroClusterKde::fit(maintainer.clusters(), config)?;
+                Box::new(move |x, s| kde.density_subspace(x, s))
             };
+            let value = estimate(&at, s)?;
             writeln!(
                 out,
                 "density over {s} at {at:?} = {value:.8e} ({} estimation, {})",
@@ -344,8 +349,12 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             )?;
             if let Some((lo, hi, n)) = grid {
                 let dim = s.dims().next().expect("subspace is non-empty");
-                let kde = ErrorKde::fit(&data, config)?;
-                let g = udm_kde::Grid1D::from_kde(&kde, dim, lo, hi, n)?;
+                let line = Subspace::singleton(dim)?;
+                let mut query = at.clone();
+                let g = udm_kde::Grid1D::evaluate(lo, hi, n, |x| {
+                    query[dim] = x;
+                    estimate(&query, line)
+                })?;
                 writeln!(
                     out,
                     "\n1-D density along dimension {dim} over [{lo}, {hi}]:"
@@ -908,7 +917,9 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("200 points into 10 micro-clusters"), "{out}");
-        let restored = Snapshot::load(&snap).unwrap().restore().unwrap();
+        let text = std::fs::read_to_string(&snap).unwrap();
+        let exported: Snapshot = serde_json::from_str(&text).unwrap();
+        let restored = exported.restore().unwrap();
         assert_eq!(restored.points_seen(), 200);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -972,6 +983,62 @@ mod tests {
         .unwrap();
         assert!(out.contains("1-D density along dimension 0"), "{out}");
         assert!(out.contains("peak density"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn density_grid_charts_the_headline_estimator() {
+        let dir = tmpdir();
+        let data = dir.join("data.csv");
+        run_cli(&[
+            "generate",
+            "adult",
+            "--n",
+            "200",
+            "--f",
+            "1.0",
+            "--seed",
+            "1",
+            "--out",
+            data.to_str().unwrap(),
+        ])
+        .unwrap();
+        let at = "0,0,0,0,0,0";
+        let chart_for = |q: &str| {
+            let out = run_cli(&[
+                "density",
+                data.to_str().unwrap(),
+                "--at",
+                at,
+                "--subspace",
+                "0",
+                "--grid",
+                "-3:3:40",
+                "--q",
+                q,
+            ])
+            .unwrap();
+            let start = out.find("1-D density").expect("chart printed");
+            out[start..].to_string()
+        };
+        let compressed = chart_for("3");
+        assert_ne!(compressed, chart_for("0"), "--q 3 charted the exact KDE");
+        // The peak the chart reports is the 3-cluster estimate's maximum
+        // over the same grid.
+        let maintainer =
+            MicroClusterMaintainer::from_dataset(&load(&data).unwrap(), MaintainerConfig::new(3))
+                .unwrap();
+        let kde = MicroClusterKde::fit(maintainer.clusters(), KdeConfig::error_adjusted()).unwrap();
+        let line = Subspace::singleton(0).unwrap();
+        let grid = udm_kde::Grid1D::evaluate(-3.0, 3.0, 40, |x| {
+            kde.density_subspace(&[x, 0.0, 0.0, 0.0, 0.0, 0.0], line)
+        })
+        .unwrap();
+        let peak = grid.ys.iter().cloned().fold(0.0f64, f64::max);
+        assert!(
+            compressed.contains(&format!("(peak density {peak:.4})")),
+            "peak {peak:.4} not in\n{compressed}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

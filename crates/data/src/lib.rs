@@ -20,7 +20,7 @@
 //!   present,
 //! * [`noise`] — the paper's error-injection model,
 //! * [`csv_io`] — CSV reading/writing of uncertain datasets,
-//! * [`split`] — seeded (optionally stratified) train/test splits,
+//! * [`split`] — seeded stratified train/test splits,
 //! * [`imputation`] — missingness models and imputers that record the
 //!   imputation error as ψ (the paper's missing-data use case),
 //! * [`aggregate`] — partially aggregated data: group means with
@@ -52,7 +52,7 @@ pub use error::{DataError, DataResult};
 pub use fault::{FaultKind, FaultLog, FaultPlan, FaultyStream, RawRecord};
 pub use imputation::{impute_mean, impute_stochastic, IncompleteDataset, MissingnessModel};
 pub use noise::ErrorModel;
-pub use split::{stratified_split, train_test_split, Split};
+pub use split::{stratified_split, Split};
 pub use stream::{DriftingStream, Regime};
 pub use synth::{GaussianClassSpec, MixtureGenerator};
 pub use uci::UciDataset;

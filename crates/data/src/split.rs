@@ -25,47 +25,13 @@ fn validate_fraction(test_fraction: f64) -> Result<()> {
     Ok(())
 }
 
-/// Shuffles the dataset with `seed` and holds out `test_fraction` of it.
-///
-/// At least one point is always left on each side for non-degenerate
-/// inputs (`len ≥ 2`).
-///
-/// # Errors
-///
-/// [`UdmError::InvalidValue`] for a fraction outside `(0, 1)`;
-/// [`UdmError::EmptyDataset`] when fewer than 2 points are available.
-pub fn train_test_split(data: &UncertainDataset, test_fraction: f64, seed: u64) -> Result<Split> {
-    validate_fraction(test_fraction)?;
-    if data.len() < 2 {
-        return Err(UdmError::EmptyDataset);
-    }
-    let mut indices: Vec<usize> = (0..data.len()).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    // len·fraction <= len for the validated fraction ∈ (0, 1).
-    #[allow(clippy::cast_possible_truncation)]
-    let n_test = ((data.len() as f64 * test_fraction).round() as usize)
-        .max(1)
-        .min(data.len() - 1);
-    let mut test = UncertainDataset::new(data.dim());
-    let mut train = UncertainDataset::new(data.dim());
-    for (rank, &i) in indices.iter().enumerate() {
-        let p = data.point(i).clone();
-        if rank < n_test {
-            test.push(p)?;
-        } else {
-            train.push(p)?;
-        }
-    }
-    Ok(Split { train, test })
-}
-
 /// Stratified split: preserves per-class proportions by splitting each
 /// class independently (unlabelled points are split like their own class).
 ///
 /// # Errors
 ///
-/// Same conditions as [`train_test_split`].
+/// [`UdmError::InvalidValue`] for a fraction outside `(0, 1)`;
+/// [`UdmError::EmptyDataset`] when either side would be empty.
 pub fn stratified_split(data: &UncertainDataset, test_fraction: f64, seed: u64) -> Result<Split> {
     validate_fraction(test_fraction)?;
     if data.len() < 2 {
@@ -124,27 +90,19 @@ mod tests {
     }
 
     #[test]
-    fn split_sizes_add_up() {
-        let d = labelled_data(100);
-        let s = train_test_split(&d, 0.3, 1).unwrap();
-        assert_eq!(s.train.len() + s.test.len(), 100);
-        assert_eq!(s.test.len(), 30);
-    }
-
-    #[test]
     fn split_is_deterministic() {
         let d = labelled_data(50);
-        let a = train_test_split(&d, 0.2, 9).unwrap();
-        let b = train_test_split(&d, 0.2, 9).unwrap();
+        let a = stratified_split(&d, 0.2, 9).unwrap();
+        let b = stratified_split(&d, 0.2, 9).unwrap();
         assert_eq!(a, b);
-        let c = train_test_split(&d, 0.2, 10).unwrap();
+        let c = stratified_split(&d, 0.2, 10).unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn split_partitions_without_duplication() {
         let d = labelled_data(40);
-        let s = train_test_split(&d, 0.25, 3).unwrap();
+        let s = stratified_split(&d, 0.25, 3).unwrap();
         let mut seen: Vec<f64> = s
             .train
             .iter()
@@ -159,19 +117,19 @@ mod tests {
     #[test]
     fn split_rejects_bad_fraction_and_tiny_data() {
         let d = labelled_data(10);
-        assert!(train_test_split(&d, 0.0, 0).is_err());
-        assert!(train_test_split(&d, 1.0, 0).is_err());
-        assert!(train_test_split(&d, -0.5, 0).is_err());
+        assert!(stratified_split(&d, 0.0, 0).is_err());
+        assert!(stratified_split(&d, 1.0, 0).is_err());
+        assert!(stratified_split(&d, -0.5, 0).is_err());
         let single = labelled_data(1);
-        assert!(train_test_split(&single, 0.5, 0).is_err());
+        assert!(stratified_split(&single, 0.5, 0).is_err());
     }
 
     #[test]
     fn both_sides_nonempty_even_for_extreme_fractions() {
         let d = labelled_data(5);
-        let s = train_test_split(&d, 0.01, 0).unwrap();
+        let s = stratified_split(&d, 0.01, 0).unwrap();
         assert!(!s.test.is_empty());
-        let s = train_test_split(&d, 0.99, 0).unwrap();
+        let s = stratified_split(&d, 0.99, 0).unwrap();
         assert!(!s.train.is_empty());
     }
 

@@ -1,34 +1,14 @@
 //! Terminal rendering of 1-D density curves.
 //!
 //! Turns a [`Grid1D`] into a column chart of unicode block glyphs — the
-//! quickest way to *see* what the error adjustment does to a density, in
-//! examples, the CLI, and doc output. Pure string formatting; no
-//! terminal control codes.
+//! quickest way to *see* what the error adjustment does to a density
+//! (`udm density --grid`). Pure string formatting; no terminal control
+//! codes.
 
 use crate::grid::Grid1D;
 
 /// Eight vertical block glyphs, shortest to tallest.
 const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// Renders the grid as a single-line sparkline (one glyph per sample).
-///
-/// Empty grids render as an empty string; a constant-zero grid renders
-/// as all-minimum glyphs.
-pub fn sparkline(grid: &Grid1D) -> String {
-    let max = grid.ys.iter().cloned().fold(0.0f64, f64::max);
-    if max <= 0.0 {
-        return BLOCKS[0].to_string().repeat(grid.ys.len());
-    }
-    grid.ys
-        .iter()
-        .map(|&y| {
-            // y/max ∈ [0, 1], so the rounded level fits in usize.
-            #[allow(clippy::cast_possible_truncation)]
-            let level = ((y / max) * (BLOCKS.len() - 1) as f64).round() as usize;
-            BLOCKS[level.min(BLOCKS.len() - 1)]
-        })
-        .collect()
-}
 
 /// Renders the grid as a multi-row chart of the given height, with an
 /// axis line annotated by the x-range and the peak density.
@@ -77,27 +57,6 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_peaks_at_max() {
-        let s = sparkline(&grid(&[0.0, 0.5, 1.0, 0.5, 0.0]));
-        let chars: Vec<char> = s.chars().collect();
-        assert_eq!(chars.len(), 5);
-        assert_eq!(chars[2], '█');
-        assert_eq!(chars[0], '▁');
-        assert_eq!(chars[0], chars[4]);
-    }
-
-    #[test]
-    fn sparkline_handles_all_zero() {
-        let s = sparkline(&grid(&[0.0, 0.0, 0.0]));
-        assert_eq!(s, "▁▁▁");
-    }
-
-    #[test]
-    fn sparkline_empty_grid() {
-        assert_eq!(sparkline(&grid(&[])), "");
-    }
-
-    #[test]
     fn chart_has_requested_height_plus_axis() {
         let c = chart(&grid(&[0.1, 0.9, 0.4]), 4);
         assert_eq!(c.lines().count(), 5);
@@ -122,9 +81,12 @@ mod tests {
         ])
         .unwrap();
         let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let g = Grid1D::from_kde(&kde, 0, -3.0, 9.0, 60).unwrap();
-        let s = sparkline(&g);
-        assert_eq!(s.chars().count(), 60);
-        assert!(s.contains('█'));
+        let g = Grid1D::evaluate(-3.0, 9.0, 60, |x| kde.density(&[x])).unwrap();
+        let c = chart(&g, 4);
+        assert!(
+            c.lines().take(4).all(|row| row.chars().count() == 60),
+            "{c}"
+        );
+        assert!(c.contains('█'), "{c}");
     }
 }

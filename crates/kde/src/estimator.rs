@@ -237,19 +237,6 @@ impl<'a> ErrorKde<'a> {
     pub fn density_subspaces(&self, x: &[f64], subspaces: &[Subspace]) -> Result<Vec<f64>> {
         self.kernel_columns(x)?.density_many(subspaces)
     }
-
-    /// Convenience: density of a 1-dimensional subspace `{dim}`.
-    pub fn density_1d(&self, x: f64, dim: usize) -> Result<f64> {
-        let mut query = vec![0.0; self.data.dim()];
-        if dim >= self.data.dim() {
-            return Err(UdmError::DimensionOutOfRange {
-                dim,
-                dimensionality: self.data.dim(),
-            });
-        }
-        query[dim] = x;
-        self.density_subspace(&query, Subspace::singleton(dim)?)
-    }
 }
 
 #[cfg(test)]
@@ -382,22 +369,6 @@ mod tests {
     fn rejects_empty_dataset() {
         let empty = UncertainDataset::new(1);
         assert!(ErrorKde::fit(&empty, KdeConfig::default()).is_err());
-    }
-
-    #[test]
-    fn density_1d_helper_matches_subspace_call() {
-        let points = vec![
-            UncertainPoint::new(vec![0.0, 5.0], vec![0.1, 0.2]).unwrap(),
-            UncertainPoint::new(vec![1.0, 6.0], vec![0.2, 0.1]).unwrap(),
-        ];
-        let d = UncertainDataset::from_points(points).unwrap();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let a = kde.density_1d(5.5, 1).unwrap();
-        let b = kde
-            .density_subspace(&[0.0, 5.5], Subspace::singleton(1).unwrap())
-            .unwrap();
-        assert!((a - b).abs() < 1e-15);
-        assert!(kde.density_1d(0.0, 7).is_err());
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Dense grid evaluation of density estimates, for plotting, numeric
-//! verification, and the example binaries.
+//! 1-D grid evaluation of density estimates, for plotting and numeric
+//! verification.
 
-use crate::estimator::ErrorKde;
 use serde::{Deserialize, Serialize};
-use udm_core::{Result, Subspace, UdmError};
+use udm_core::{Result, UdmError};
 
 /// A 1-D evaluation grid: sample locations and density values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -15,9 +14,19 @@ pub struct Grid1D {
 }
 
 impl Grid1D {
-    /// Evaluates an arbitrary function on `n` equally spaced samples of
-    /// `[lo, hi]`.
-    pub fn evaluate<F: FnMut(f64) -> f64>(lo: f64, hi: f64, n: usize, mut f: F) -> Result<Self> {
+    /// Evaluates a density on `n` equally spaced samples of `[lo, hi]`,
+    /// stopping at the first error `f` returns.
+    ///
+    /// # Errors
+    ///
+    /// [`UdmError::InvalidConfig`] for `n < 2`, [`UdmError::InvalidValue`]
+    /// for non-finite or empty bounds, and the first error of `f`.
+    pub fn evaluate<F: FnMut(f64) -> Result<f64>>(
+        lo: f64,
+        hi: f64,
+        n: usize,
+        f: F,
+    ) -> Result<Self> {
         if n < 2 {
             return Err(UdmError::InvalidConfig(
                 "grid needs at least 2 samples".into(),
@@ -31,24 +40,8 @@ impl Grid1D {
         }
         let step = (hi - lo) / (n - 1) as f64;
         let xs: Vec<f64> = (0..n).map(|i| lo + step * i as f64).collect();
-        let ys = xs.iter().map(|&x| f(x)).collect();
+        let ys = xs.iter().copied().map(f).collect::<Result<_>>()?;
         Ok(Grid1D { xs, ys })
-    }
-
-    /// Evaluates the 1-D marginal density of `kde` along dimension `dim`.
-    pub fn from_kde(kde: &ErrorKde<'_>, dim: usize, lo: f64, hi: f64, n: usize) -> Result<Self> {
-        let mut err = None;
-        let g = Self::evaluate(lo, hi, n, |x| match kde.density_1d(x, dim) {
-            Ok(v) => v,
-            Err(e) => {
-                err = Some(e);
-                f64::NAN
-            }
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(g),
-        }
     }
 
     /// Location of the highest density value (argmax).
@@ -74,84 +67,10 @@ impl Grid1D {
     }
 }
 
-/// A 2-D evaluation grid over a pair of dimensions, row-major in `y`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Grid2D {
-    /// Sample locations along the first dimension.
-    pub xs: Vec<f64>,
-    /// Sample locations along the second dimension.
-    pub ys: Vec<f64>,
-    /// `zs[i][j]` = density at `(xs[i], ys[j])`.
-    pub zs: Vec<Vec<f64>>,
-}
-
-impl Grid2D {
-    /// Evaluates the joint density of `kde` over dimensions `(dim_x, dim_y)`
-    /// on an `nx × ny` grid.
-    pub fn from_kde(
-        kde: &ErrorKde<'_>,
-        (dim_x, dim_y): (usize, usize),
-        (lo_x, hi_x): (f64, f64),
-        (lo_y, hi_y): (f64, f64),
-        nx: usize,
-        ny: usize,
-    ) -> Result<Self> {
-        if nx < 2 || ny < 2 {
-            return Err(UdmError::InvalidConfig(
-                "grid needs at least 2 samples per axis".into(),
-            ));
-        }
-        let d = kde.data().dim();
-        if dim_x >= d || dim_y >= d {
-            return Err(UdmError::DimensionOutOfRange {
-                dim: dim_x.max(dim_y),
-                dimensionality: d,
-            });
-        }
-        if dim_x == dim_y {
-            return Err(UdmError::InvalidConfig(
-                "2-D grid requires two distinct dimensions".into(),
-            ));
-        }
-        let subspace = Subspace::from_dims(&[dim_x, dim_y])?;
-        let sx = (hi_x - lo_x) / (nx - 1) as f64;
-        let sy = (hi_y - lo_y) / (ny - 1) as f64;
-        let xs: Vec<f64> = (0..nx).map(|i| lo_x + sx * i as f64).collect();
-        let ys: Vec<f64> = (0..ny).map(|j| lo_y + sy * j as f64).collect();
-        let mut query = vec![0.0; d];
-        let mut zs = Vec::with_capacity(nx);
-        for &x in &xs {
-            let mut row = Vec::with_capacity(ny);
-            for &y in &ys {
-                query[dim_x] = x;
-                query[dim_y] = y;
-                row.push(kde.density_subspace(&query, subspace)?);
-            }
-            zs.push(row);
-        }
-        Ok(Grid2D { xs, ys, zs })
-    }
-
-    /// The grid cell with maximal density, as `(x, y)`.
-    pub fn argmax(&self) -> Option<(f64, f64)> {
-        let mut best = None;
-        let mut best_v = f64::NEG_INFINITY;
-        for (i, row) in self.zs.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                if v > best_v {
-                    best_v = v;
-                    best = Some((self.xs[i], self.ys[j]));
-                }
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::KdeConfig;
+    use crate::estimator::{ErrorKde, KdeConfig};
     use udm_core::{UncertainDataset, UncertainPoint};
 
     fn dataset_1d() -> UncertainDataset {
@@ -165,7 +84,7 @@ mod tests {
 
     #[test]
     fn evaluate_spacing_and_len() {
-        let g = Grid1D::evaluate(0.0, 1.0, 11, |x| x).unwrap();
+        let g = Grid1D::evaluate(0.0, 1.0, 11, Ok).unwrap();
         assert_eq!(g.xs.len(), 11);
         assert!((g.xs[1] - g.xs[0] - 0.1).abs() < 1e-12);
         assert_eq!(g.ys[10], 1.0);
@@ -173,16 +92,27 @@ mod tests {
 
     #[test]
     fn evaluate_rejects_bad_input() {
-        assert!(Grid1D::evaluate(0.0, 1.0, 1, |x| x).is_err());
-        assert!(Grid1D::evaluate(1.0, 0.0, 10, |x| x).is_err());
-        assert!(Grid1D::evaluate(0.0, f64::INFINITY, 10, |x| x).is_err());
+        assert!(Grid1D::evaluate(0.0, 1.0, 1, Ok).is_err());
+        assert!(Grid1D::evaluate(1.0, 0.0, 10, Ok).is_err());
+        assert!(Grid1D::evaluate(0.0, f64::INFINITY, 10, Ok).is_err());
+        // The first error of the density stops the sweep.
+        let d = dataset_1d();
+        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
+        let mut calls = 0;
+        let e = Grid1D::evaluate(-1.0, 1.0, 10, |x| {
+            calls += 1;
+            kde.density(&[x, x])
+        })
+        .unwrap_err();
+        assert!(matches!(e, UdmError::DimensionMismatch { .. }), "{e:?}");
+        assert_eq!(calls, 1);
     }
 
     #[test]
-    fn from_kde_mass_near_one() {
+    fn kde_grid_mass_near_one() {
         let d = dataset_1d();
         let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let g = Grid1D::from_kde(&kde, 0, -10.0, 10.0, 4001).unwrap();
+        let g = Grid1D::evaluate(-10.0, 10.0, 4001, |x| kde.density(&[x])).unwrap();
         assert!((g.mass() - 1.0).abs() < 1e-4, "mass={}", g.mass());
     }
 
@@ -190,38 +120,9 @@ mod tests {
     fn argmax_near_data_mode() {
         let d = dataset_1d();
         let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let g = Grid1D::from_kde(&kde, 0, -5.0, 5.0, 2001).unwrap();
+        let g = Grid1D::evaluate(-5.0, 5.0, 2001, |x| kde.density(&[x])).unwrap();
         let m = g.argmax().unwrap();
         assert!(m.abs() < 0.5, "argmax={m}");
-    }
-
-    #[test]
-    fn grid2d_shape_and_argmax() {
-        let d = UncertainDataset::from_points(vec![
-            UncertainPoint::new(vec![1.0, 2.0], vec![0.1, 0.1]).unwrap(),
-            UncertainPoint::new(vec![1.1, 2.1], vec![0.1, 0.1]).unwrap(),
-            UncertainPoint::new(vec![0.9, 1.9], vec![0.1, 0.1]).unwrap(),
-        ])
-        .unwrap();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let g = Grid2D::from_kde(&kde, (0, 1), (-2.0, 4.0), (-1.0, 5.0), 61, 61).unwrap();
-        assert_eq!(g.zs.len(), 61);
-        assert_eq!(g.zs[0].len(), 61);
-        let (mx, my) = g.argmax().unwrap();
-        assert!((mx - 1.0).abs() < 0.5);
-        assert!((my - 2.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn grid2d_rejects_bad_dims() {
-        let d = dataset_1d();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        assert!(Grid2D::from_kde(&kde, (0, 1), (0.0, 1.0), (0.0, 1.0), 4, 4).is_err());
-        let d2 =
-            UncertainDataset::from_points(vec![UncertainPoint::exact(vec![0.0, 1.0]).unwrap()])
-                .unwrap();
-        let kde2 = ErrorKde::fit(&d2, KdeConfig::default()).unwrap();
-        assert!(Grid2D::from_kde(&kde2, (0, 0), (0.0, 1.0), (0.0, 1.0), 4, 4).is_err());
     }
 
     #[test]

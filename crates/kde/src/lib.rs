@@ -35,11 +35,10 @@
 //!   columnar path (column multiply, ordered reduction, column build),
 //! * [`fastexp`] — a bounded-error fast `exp` selected by the
 //!   `fast-math` feature (default off; the default build is bit-exact),
-//! * [`grid`] — dense grid evaluation for plotting and numeric checks,
-//! * [`quadrature`] — trapezoidal integration used to verify normalization,
-//! * [`cdf`] — closed-form CDF/quantile/interval-mass queries for 1-D
-//!   mixtures,
-//! * [`sampling`] — exact sampling from fitted mixtures.
+//! * [`grid`] — 1-D grid evaluation of any density, for plotting and
+//!   numeric checks,
+//! * [`ascii`] — the terminal chart `udm density --grid` prints,
+//! * [`quadrature`] — trapezoidal integration used to verify normalization.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -47,7 +46,6 @@
 pub mod ascii;
 pub mod backend;
 pub mod bandwidth;
-pub mod cdf;
 pub mod chunked;
 pub mod classic;
 pub mod columns;
@@ -57,17 +55,14 @@ pub mod fastexp;
 pub mod grid;
 pub mod kernel;
 pub mod quadrature;
-pub mod sampling;
 
-pub use ascii::{chart, sparkline};
+pub use ascii::chart;
 pub use backend::BackendSpec;
 pub use bandwidth::{silverman_bandwidth, silverman_robust_bandwidth, BandwidthRule};
-pub use cdf::{kde_cdf, kde_interval_mass, kde_quantile};
 pub use classic::ClassicKde;
 pub use columns::KernelColumns;
 pub use error_kernel::{ErrorKernelForm, GaussianErrorKernel};
 pub use estimator::{ErrorKde, KdeConfig};
 pub use fastexp::{fast_exp, hot_exp, FAST_EXP_MAX_ABS_ERROR};
-pub use grid::{Grid1D, Grid2D};
+pub use grid::Grid1D;
 pub use kernel::{EpanechnikovKernel, GaussianKernel, Kernel, TriangularKernel, UniformKernel};
-pub use sampling::{sample_dataset, sample_one};

@@ -43,25 +43,10 @@ use crate::density::MicroClusterKde;
 use crate::pseudo::PseudoPoint;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-use udm_core::fnv::{fnv1a, fnv1a_f64s, FNV_OFFSET};
 use udm_core::num::{clamped_sqrt, f64_from_count};
 use udm_core::{Result, Subspace};
 use udm_kde::backend::{record_query, BackendSpec};
 use udm_kde::{GaussianErrorKernel, KernelColumns};
-
-/// Bit-exact digest of a fitted estimator: pseudo-point statistics,
-/// weights and bandwidths. Two estimators share a fingerprint iff their
-/// mixtures are bit-identical.
-pub fn model_fingerprint(kde: &MicroClusterKde) -> u64 {
-    let mut h = FNV_OFFSET;
-    for p in kde.pseudo_points() {
-        h = fnv1a_f64s(h, &p.centroid);
-        h = fnv1a_f64s(h, &p.delta);
-        h = fnv1a(h, &p.weight.to_le_bytes());
-    }
-    h = fnv1a_f64s(h, kde.bandwidths());
-    fnv1a(h, &kde.total_points().to_le_bytes())
-}
 
 /// One resolved density backend: the mixture a query evaluates against.
 ///
@@ -589,14 +574,5 @@ mod tests {
         assert!(cache
             .resolve(&BackendSpec::Coreset { eps: 0.0 }, [&kde])
             .is_err());
-    }
-
-    #[test]
-    fn fingerprint_tracks_model_bits() {
-        let a = fitted(200, 16);
-        let b = fitted(200, 16);
-        let c = fitted(201, 16);
-        assert_eq!(model_fingerprint(&a), model_fingerprint(&b));
-        assert_ne!(model_fingerprint(&a), model_fingerprint(&c));
     }
 }

@@ -656,6 +656,20 @@ mod tests {
     }
 
     #[test]
+    fn on_disk_bytes_are_pinned() {
+        // Every v2 file on disk depends on these exact bytes: the
+        // envelope layout, the payload field order and the float
+        // formatting. A change here needs a new SCHEMA_VERSION.
+        let path = tmp_file("pinned.json");
+        save_checkpoint(&path, &CheckpointPayload::capture(&fed_ingestor(60), 60)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 1264);
+        assert_eq!(hex_digest(&bytes), "1684ae7c7e2f0bf7");
+        assert_eq!(SCHEMA_VERSION, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn point_roundtrip_sanity_for_bit_identity() {
         // The property the crash drill rests on: serde_json round-trips
         // f64 exactly.

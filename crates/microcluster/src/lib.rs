@@ -38,12 +38,13 @@
 //! * [`backend`] — [`DensityBackend`], what an `exact | coreset:EPS`
 //!   spec resolves to (the model's own estimator or a [`CoresetKde`]
 //!   reduction of it), and the shared [`CoresetCache`],
-//! * [`snapshot`] — JSON persistence of maintainer state,
+//! * [`snapshot`] — maintainer state as plain data, with a JSON export,
 //! * [`ingest`] — fault-tolerant ingest: per-record Accept / Repair /
 //!   Quarantine / Reject verdicts under a configurable degradation
 //!   policy,
 //! * [`checkpoint`] — versioned, checksummed checkpoints with atomic
-//!   writes and replay-aware crash recovery,
+//!   writes and replay-aware crash recovery: the one on-disk format
+//!   read back,
 //! * [`diagnostics`] — summary-health reporting (occupancy balance,
 //!   radii, error mass) and ingest-policy counters,
 //! * [`pyramid`] — the CluStream pyramidal time frame: geometrically
@@ -68,7 +69,7 @@ pub mod pyramid;
 pub mod shard;
 pub mod snapshot;
 
-pub use backend::{model_fingerprint, CoresetCache, CoresetKde, DensityBackend};
+pub use backend::{CoresetCache, CoresetKde, DensityBackend};
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_with_fallback, save_checkpoint, CheckpointDriver,
     CheckpointPayload, SCHEMA_VERSION,

@@ -1,14 +1,14 @@
-//! JSON persistence for micro-cluster state.
+//! Maintainer state as plain data: configuration plus cluster statistics.
 //!
 //! Micro-cluster summaries are the durable artifact of the training pass
-//! (§3 computes them once as a pre-processing step); snapshots let a
-//! long-running service restart without replaying the stream.
+//! (§3 computes them once as a pre-processing step). A [`Snapshot`] is
+//! what [`crate::checkpoint`] persists inside its versioned, checksummed
+//! envelope — the only format read back from disk — and
+//! [`Snapshot::to_json`] is the plain JSON export `udm summarize` prints.
 
 use crate::feature::MicroCluster;
 use crate::maintainer::{MaintainerConfig, MicroClusterMaintainer};
 use serde::{Deserialize, Serialize};
-use std::io::{BufReader, BufWriter, Write};
-use std::path::Path;
 use udm_core::{Result, UdmError};
 
 /// Serializable snapshot of a maintainer: config + cluster statistics.
@@ -53,48 +53,13 @@ impl Snapshot {
         MicroClusterMaintainer::from_clusters(self.clusters, self.config)
     }
 
-    /// Serializes to a JSON string.
+    /// Serializes to a JSON string: an export, not read back.
     ///
     /// # Errors
     ///
     /// [`UdmError::Serde`] on encoding failure.
     pub fn to_json(&self) -> Result<String> {
         serde_json::to_string(self).map_err(|e| UdmError::Serde(e.to_string()))
-    }
-
-    /// Deserializes from a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::Serde`] on malformed or mistyped JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| UdmError::Serde(e.to_string()))
-    }
-
-    /// Writes the snapshot to a file as JSON.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::Serde`] on encoding failure, [`UdmError::Io`] on
-    /// filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        serde_json::to_writer(&mut w, self).map_err(|e| UdmError::Serde(e.to_string()))?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Reads a snapshot from a JSON file.
-    ///
-    /// # Errors
-    ///
-    /// [`UdmError::Serde`] on malformed content, [`UdmError::Io`] when
-    /// the file cannot be read.
-    pub fn load(path: &Path) -> Result<Self> {
-        let file = std::fs::File::open(path)?;
-        let r = BufReader::new(file);
-        serde_json::from_reader(r).map_err(|e| UdmError::Serde(e.to_string()))
     }
 }
 
@@ -121,7 +86,7 @@ mod tests {
         let m = trained_maintainer();
         let snap = Snapshot::capture(&m);
         let json = snap.to_json().unwrap();
-        let back = Snapshot::from_json(&json).unwrap();
+        let back: Snapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
         let restored = back.restore().unwrap();
         assert_eq!(restored.points_seen(), m.points_seen());
@@ -132,25 +97,6 @@ mod tests {
                 .unwrap();
             assert_eq!(restored.nearest(&p), m.nearest(&p));
         }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let m = trained_maintainer();
-        let snap = Snapshot::capture(&m);
-        let dir = std::env::temp_dir().join("udm_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.json");
-        snap.save(&path).unwrap();
-        let loaded = Snapshot::load(&path).unwrap();
-        assert_eq!(loaded, snap);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn malformed_json_is_a_serde_error() {
-        let e = Snapshot::from_json("{not json").unwrap_err();
-        assert!(matches!(e, UdmError::Serde(_)), "{e:?}");
     }
 
     #[test]
@@ -173,11 +119,5 @@ mod tests {
                 actual: 3
             }
         );
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        let e = Snapshot::load(Path::new("/nonexistent/udm/state.json")).unwrap_err();
-        assert!(matches!(e, UdmError::Io(_)));
     }
 }

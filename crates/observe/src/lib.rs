@@ -9,7 +9,7 @@
 //!   sharded global registry. The hot path (recording into an existing
 //!   metric) is a relaxed atomic op; the registry lock is only taken on
 //!   first registration of a name.
-//! * **Spans** ([`span`]): hierarchical RAII timing guards created by
+//! * **Spans** ([`mod@span`]): hierarchical RAII timing guards created by
 //!   [`span!`]. Finished spans aggregate into an in-process self-time
 //!   profile tree and, when tracing is initialised, stream through
 //!   per-thread buffers into a JSONL trace file.

@@ -48,13 +48,14 @@ fn main() -> Result<()> {
         maintainer.num_clusters()
     );
 
-    // Snapshot to JSON — the durable artifact of the training pass.
+    // Snapshot the summary — the durable artifact of the training pass.
+    // A service persists it inside a checkpoint (`save_checkpoint`); the
+    // plain JSON form is an export.
     let snap = Snapshot::capture(&maintainer);
-    let json = snap.to_json()?;
-    println!("snapshot size: {} bytes of JSON", json.len());
+    println!("snapshot size: {} bytes of JSON", snap.to_json()?.len());
 
     // "Restart": restore and keep streaming.
-    let mut restored = Snapshot::from_json(&json)?.restore()?;
+    let mut restored = snap.restore()?;
     for t in 5_000..6_000u64 {
         restored.insert(&reading(1, t))?;
     }

@@ -1,12 +1,38 @@
-//! Persistence-oriented integration tests: CSV and snapshot roundtrips
+//! Persistence-oriented integration tests: CSV and checkpoint roundtrips
 //! embedded in the full training pipeline.
 
 use udm_classify::{Classifier, ClassifierConfig, DensityClassifier};
+use udm_core::RunningStats;
 use udm_data::csv_io::{read_csv, write_csv};
 use udm_data::{ErrorModel, UciDataset};
 use udm_kde::KdeConfig;
-use udm_microcluster::snapshot::Snapshot;
-use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer};
+use udm_microcluster::{
+    load_checkpoint, save_checkpoint, CheckpointPayload, IngestCounters, IngestPolicy,
+    MaintainerConfig, MicroClusterKde, MicroClusterMaintainer, ResilientIngestor,
+};
+
+/// Persists a maintainer through a checkpoint file — the one on-disk
+/// format — and reads it back.
+fn through_checkpoint(maintainer: &MicroClusterMaintainer, name: &str) -> MicroClusterMaintainer {
+    let ingestor = ResilientIngestor::from_parts(
+        maintainer.clone(),
+        IngestPolicy::default(),
+        vec![RunningStats::new(); maintainer.dim()],
+        Vec::new(),
+        IngestCounters::default(),
+        0,
+        0,
+    )
+    .unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "udm_pipeline_roundtrip_{}_{name}.json",
+        std::process::id()
+    ));
+    save_checkpoint(&path, &CheckpointPayload::capture(&ingestor, 0)).unwrap();
+    let restored = load_checkpoint(&path).unwrap().restore().unwrap();
+    std::fs::remove_file(&path).ok();
+    restored.into_maintainer()
+}
 
 #[test]
 fn csv_roundtrip_preserves_training_behaviour() {
@@ -33,8 +59,7 @@ fn snapshot_restores_equivalent_densities() {
     let maintainer =
         MicroClusterMaintainer::from_dataset(&noisy, MaintainerConfig::new(30)).unwrap();
 
-    let json = Snapshot::capture(&maintainer).to_json().unwrap();
-    let restored = Snapshot::from_json(&json).unwrap().restore().unwrap();
+    let restored = through_checkpoint(&maintainer, "densities");
 
     let kde_a = MicroClusterKde::fit(maintainer.clusters(), KdeConfig::default()).unwrap();
     let kde_b = MicroClusterKde::fit(restored.clusters(), KdeConfig::default()).unwrap();
@@ -60,13 +85,12 @@ fn snapshot_then_continue_streaming_matches_uninterrupted() {
         direct.insert(p).unwrap();
     }
 
-    // Interrupted by a snapshot/restore in the middle.
+    // Interrupted by a checkpoint/restore in the middle.
     let mut before = MicroClusterMaintainer::new(noisy.dim(), MaintainerConfig::new(15)).unwrap();
     for p in &first {
         before.insert(p).unwrap();
     }
-    let json = Snapshot::capture(&before).to_json().unwrap();
-    let mut resumed = Snapshot::from_json(&json).unwrap().restore().unwrap();
+    let mut resumed = through_checkpoint(&before, "resume");
     for p in &second {
         resumed.insert(p).unwrap();
     }
