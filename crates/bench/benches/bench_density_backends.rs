@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use udm_bench::{quick_mode, write_results_file};
 use udm_core::{Subspace, UncertainPoint};
 use udm_kde::KdeConfig;
 use udm_microcluster::{CoresetKde, DensityBackend, MaintainerConfig, MicroClusterMaintainer};
@@ -22,12 +23,8 @@ use udm_microcluster::{CoresetKde, DensityBackend, MaintainerConfig, MicroCluste
 const DIM: usize = 3;
 const CORESET_EPS: f64 = 0.1;
 
-fn quick() -> bool {
-    std::env::var_os("UDM_BENCH_QUICK").is_some()
-}
-
 fn budgets() -> Vec<usize> {
-    if quick() {
+    if quick_mode() {
         vec![128, 512]
     } else {
         vec![256, 1024, 4096]
@@ -35,7 +32,7 @@ fn budgets() -> Vec<usize> {
 }
 
 fn queries_per_backend() -> usize {
-    if quick() {
+    if quick_mode() {
         200
     } else {
         1_000
@@ -244,7 +241,7 @@ fn main() {
         .collect();
 
     let report = Report {
-        quick_mode: quick(),
+        quick_mode: quick_mode(),
         dim: DIM,
         queries_per_backend: queries_per_backend(),
         budgets: budgets_out,
@@ -265,13 +262,8 @@ fn main() {
     };
 
     let json = serde_json::to_string(&report).expect("report serializes");
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let file = if results.is_dir() {
-        results.join("BENCH_density_backends.json")
-    } else {
-        std::path::PathBuf::from("BENCH_density_backends.json")
-    };
-    std::fs::write(&file, &json).expect("write BENCH_density_backends.json");
+    let file = write_results_file("BENCH_density_backends.json", &json)
+        .expect("write BENCH_density_backends.json");
     println!("wrote {}", file.display());
     for g in &report.growth {
         println!(

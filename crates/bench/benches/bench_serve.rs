@@ -17,6 +17,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use udm_bench::{quick_mode, write_results_file};
 use udm_data::fault::RawRecord;
 use udm_data::{GaussianClassSpec, MixtureGenerator};
 use udm_serve::{BatchConfig, ServeConfig, ServeSeed, Server};
@@ -25,12 +26,8 @@ const CLIENT_THREADS: usize = 4;
 const DIM: usize = 16;
 const MAX_CLUSTERS: usize = 400;
 
-fn quick() -> bool {
-    std::env::var_os("UDM_BENCH_QUICK").is_some()
-}
-
 fn requests_per_mode() -> usize {
-    if quick() {
+    if quick_mode() {
         200
     } else {
         2_000
@@ -38,7 +35,7 @@ fn requests_per_mode() -> usize {
 }
 
 fn stream_len() -> usize {
-    if quick() {
+    if quick_mode() {
         800
     } else {
         2_000
@@ -290,7 +287,7 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let report = Report {
         host_cores,
-        quick_mode: quick(),
+        quick_mode: quick_mode(),
         requests_per_mode: requests_per_mode(),
         client_threads: CLIENT_THREADS,
         unique_queries: hot_queries().len(),
@@ -315,13 +312,7 @@ fn main() {
     };
 
     let json = serde_json::to_string(&report).expect("report serializes");
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let file = if results.is_dir() {
-        results.join("BENCH_serve.json")
-    } else {
-        PathBuf::from("BENCH_serve.json")
-    };
-    std::fs::write(&file, &json).expect("write BENCH_serve.json");
+    let file = write_results_file("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!("wrote {}", file.display());
     for m in &report.modes {
         println!(

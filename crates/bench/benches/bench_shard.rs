@@ -28,6 +28,7 @@
 use criterion::{black_box, Criterion};
 use std::path::PathBuf;
 use std::time::Duration;
+use udm_bench::{quick_mode, write_results_file};
 use udm_data::fault::{FaultPlan, FaultyStream, RawRecord};
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
 use udm_microcluster::{
@@ -37,12 +38,8 @@ use udm_microcluster::{
 
 const SHARD_AXIS: [usize; 4] = [1, 2, 4, 8];
 
-fn quick() -> bool {
-    std::env::var_os("UDM_BENCH_QUICK").is_some()
-}
-
 fn stream_len() -> usize {
-    if quick() {
+    if quick_mode() {
         400
     } else {
         4_000
@@ -101,7 +98,7 @@ fn partials(records: &[RawRecord], shards: usize) -> Vec<MicroClusterModel> {
 
 fn bench_shard(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_ingest");
-    if quick() {
+    if quick_mode() {
         group.measurement_time(Duration::from_millis(80));
         group.sample_size(3);
     } else {
@@ -228,7 +225,7 @@ fn dump_json(c: &Criterion) {
 
     let report = Report {
         host_cores,
-        quick_mode: quick(),
+        quick_mode: quick_mode(),
         stream_len: stream_len(),
         shard_axis: SHARD_AXIS.to_vec(),
         entries: c
@@ -243,13 +240,8 @@ fn dump_json(c: &Criterion) {
         criteria_notes,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let file = if results.is_dir() {
-        results.join("BENCH_shard_ingest.json")
-    } else {
-        std::path::PathBuf::from("BENCH_shard_ingest.json")
-    };
-    std::fs::write(&file, &json).expect("write BENCH_shard_ingest.json");
+    let file = write_results_file("BENCH_shard_ingest.json", &json)
+        .expect("write BENCH_shard_ingest.json");
     println!("wrote {}", file.display());
     for s in &report.scaling {
         println!(

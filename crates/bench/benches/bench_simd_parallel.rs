@@ -1,6 +1,6 @@
 //! Columnar kernel hot path + the evaluation thread axis, measured.
 //!
-//! Extends the `bench_subspace_cache` matrix to `n = 100_000` and pins
+//! Runs a matrix of synthetic datasets up to `n = 100_000` and pins
 //! down the two claims of the SIMD/parallelism work, all inside one
 //! binary (the bounded-error `fast_exp` is always compiled; only the
 //! hot-path routing is feature-gated):
@@ -12,8 +12,7 @@
 //! * **Thread scaling** — `evaluate_par` over an explicit 1/2/4/8
 //!   thread axis against `evaluate_seq` on the same subset.
 //!
-//! Medians and derived ratios go to `results/BENCH_simd_parallel.json`
-//! (the old `BENCH_subspace_cache.json` baseline is left untouched).
+//! Medians and derived ratios go to `results/BENCH_simd_parallel.json`.
 //! The report records `host_cores` and `fast_math_enabled`: thread
 //! counts above `host_cores` cannot scale further, which the
 //! `criteria_notes` call out rather than paper over.
@@ -22,6 +21,7 @@
 
 use criterion::{black_box, Criterion};
 use std::time::Duration;
+use udm_bench::{quick_mode, write_results_file};
 use udm_classify::{evaluate, evaluate_parallel, ClassifierConfig, DensityClassifier};
 use udm_core::UncertainDataset;
 use udm_data::{ErrorModel, GaussianClassSpec, MixtureGenerator};
@@ -30,12 +30,8 @@ use udm_microcluster::{MaintainerConfig, MicroClusterKde, MicroClusterMaintainer
 
 const THREAD_AXIS: [usize; 4] = [1, 2, 4, 8];
 
-fn quick() -> bool {
-    std::env::var_os("UDM_BENCH_QUICK").is_some()
-}
-
 fn matrix() -> Vec<(usize, usize)> {
-    if quick() {
+    if quick_mode() {
         vec![(1_000, 10)]
     } else {
         vec![(1_000, 10), (10_000, 10), (10_000, 20), (100_000, 10)]
@@ -43,8 +39,7 @@ fn matrix() -> Vec<(usize, usize)> {
 }
 
 /// Two well-separated spherical classes in `d` dimensions with
-/// paper-style multiplicative errors (same generator as the baseline
-/// bench, so medians are comparable across the two JSON files).
+/// paper-style multiplicative errors.
 fn synthetic(n: usize, d: usize, seed: u64) -> UncertainDataset {
     let g = MixtureGenerator::new(
         d,
@@ -61,7 +56,7 @@ fn synthetic(n: usize, d: usize, seed: u64) -> UncertainDataset {
 
 fn bench_simd_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_parallel");
-    if quick() {
+    if quick_mode() {
         group.measurement_time(Duration::from_millis(80));
         group.sample_size(3);
     } else {
@@ -233,7 +228,7 @@ fn dump_json(c: &Criterion) {
     let report = Report {
         host_cores,
         fast_math_enabled: cfg!(feature = "fast-math"),
-        quick_mode: quick(),
+        quick_mode: quick_mode(),
         exp_fast_speedup,
         entries: c
             .results
@@ -247,13 +242,8 @@ fn dump_json(c: &Criterion) {
         criteria_notes,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let file = if results.is_dir() {
-        results.join("BENCH_simd_parallel.json")
-    } else {
-        std::path::PathBuf::from("BENCH_simd_parallel.json")
-    };
-    std::fs::write(&file, &json).expect("write BENCH_simd_parallel.json");
+    let file = write_results_file("BENCH_simd_parallel.json", &json)
+        .expect("write BENCH_simd_parallel.json");
     println!("wrote {}", file.display());
     println!("exp_std/exp_fast: {exp_fast_speedup:.2}x");
     for cmp in &report.comparisons {

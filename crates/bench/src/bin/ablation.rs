@@ -99,7 +99,7 @@ fn main() {
     let table = render_table(&["variant", "acc@f=0.5", "acc@f=1.0"], &rows);
     println!("Ablations — adult, q=140, n={n}, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("ablation_adult", &table) {
+    if let Ok(path) = write_results_file("ablation_adult.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -87,7 +87,8 @@ fn main() {
         ds.name()
     );
     println!("{table}");
-    if let Ok(path) = write_results_file(&format!("compare_classifiers_{}", ds.name()), &table) {
+    if let Ok(path) = write_results_file(&format!("compare_classifiers_{}.txt", ds.name()), &table)
+    {
         eprintln!("wrote {}", path.display());
     }
 }

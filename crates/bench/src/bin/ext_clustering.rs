@@ -95,7 +95,7 @@ fn main() {
     );
     println!("Extension — clustering ARI under sparse noise (n={n}, {seeds} seeds)");
     println!("{table}");
-    if let Ok(path) = write_results_file("ext_clustering", &table) {
+    if let Ok(path) = write_results_file("ext_clustering.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -78,7 +78,7 @@ fn main() {
     let table = render_table(&["f", "with_query_err (P/R)", "without (P/R)"], &rows);
     println!("Extension — outlier detection under noise (n={n}, 5% anomalies, seed={seed})");
     println!("{table}");
-    if let Ok(path) = write_results_file("ext_outliers", &table) {
+    if let Ok(path) = write_results_file("ext_outliers.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

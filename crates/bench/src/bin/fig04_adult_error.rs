@@ -34,7 +34,7 @@ fn main() {
     );
     println!("Figure 4 — adult, q=140, n={n}, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("fig04_adult_error", &table) {
+    if let Ok(path) = write_results_file("fig04_adult_error.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -34,7 +34,7 @@ fn main() {
     );
     println!("Figure 5 — adult, f=1.2, n={n}, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("fig05_adult_clusters", &table) {
+    if let Ok(path) = write_results_file("fig05_adult_clusters.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -34,7 +34,7 @@ fn main() {
     );
     println!("Figure 6 — forest cover, q=140, n={n}, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("fig06_cover_error", &table) {
+    if let Ok(path) = write_results_file("fig06_cover_error.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

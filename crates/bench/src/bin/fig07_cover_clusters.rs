@@ -34,7 +34,7 @@ fn main() {
     );
     println!("Figure 7 — forest cover, f=1.2, n={n}, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("fig07_cover_clusters", &table) {
+    if let Ok(path) = write_results_file("fig07_cover_clusters.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

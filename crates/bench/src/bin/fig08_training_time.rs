@@ -38,7 +38,7 @@ fn main() {
     );
     println!("Figure 8 — training seconds/point vs q, f=1.2, n≤{n}, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("fig08_training_time", &table) {
+    if let Ok(path) = write_results_file("fig08_training_time.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -42,7 +42,7 @@ fn main() {
         "Figure 9 — testing seconds/example vs q, f=1.2, n≤{n}, {test_points} test points, seed={seed}"
     );
     println!("{table}");
-    if let Ok(path) = write_results_file("fig09_testing_time", &table) {
+    if let Ok(path) = write_results_file("fig09_testing_time.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -34,7 +34,7 @@ fn main() {
         "Figure 10 — testing seconds/example vs dimensionality (ionosphere projections), f=1.2, {test_points} test points, seed={seed}"
     );
     println!("{table}");
-    if let Ok(path) = write_results_file("fig10_dimensionality", &table) {
+    if let Ok(path) = write_results_file("fig10_dimensionality.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

@@ -41,7 +41,7 @@ fn main() {
     let table = render_table(&["points", "train_s_per_example"], &rows);
     println!("Figure 11 — training seconds/example vs data size, forest cover, q=140, seed={seed}");
     println!("{table}");
-    if let Ok(path) = write_results_file("fig11_scalability", &table) {
+    if let Ok(path) = write_results_file("fig11_scalability.txt", &table) {
         eprintln!("wrote {}", path.display());
     }
 }

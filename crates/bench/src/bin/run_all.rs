@@ -75,12 +75,12 @@ fn main() {
     let rows = accuracy_sweep_error(UciDataset::Adult, &fs, 140, &cfg).expect("fig04");
     let t = accuracy_table(&rows, "f", false);
     println!("== Figure 4 (adult, accuracy vs f) ==\n{t}");
-    write_results_file("fig04_adult_error", &t).ok();
+    write_results_file("fig04_adult_error.txt", &t).ok();
 
     let rows = accuracy_sweep_clusters(UciDataset::Adult, &qs, 1.2, &cfg).expect("fig05");
     let t = accuracy_table(&rows, "q", true);
     println!("== Figure 5 (adult, accuracy vs q) ==\n{t}");
-    write_results_file("fig05_adult_clusters", &t).ok();
+    write_results_file("fig05_adult_clusters.txt", &t).ok();
 
     // Figures 6 & 7: forest cover.
     let cfg = ExperimentConfig {
@@ -91,12 +91,12 @@ fn main() {
     let rows = accuracy_sweep_error(UciDataset::ForestCover, &fs, 140, &cfg).expect("fig06");
     let t = accuracy_table(&rows, "f", false);
     println!("== Figure 6 (forest cover, accuracy vs f) ==\n{t}");
-    write_results_file("fig06_cover_error", &t).ok();
+    write_results_file("fig06_cover_error.txt", &t).ok();
 
     let rows = accuracy_sweep_clusters(UciDataset::ForestCover, &qs, 1.2, &cfg).expect("fig07");
     let t = accuracy_table(&rows, "q", true);
     println!("== Figure 7 (forest cover, accuracy vs q) ==\n{t}");
-    write_results_file("fig07_cover_clusters", &t).ok();
+    write_results_file("fig07_cover_clusters.txt", &t).ok();
 
     // Figure 8: training time vs q.
     let mut rows8 = Vec::new();
@@ -118,7 +118,7 @@ fn main() {
         &rows8,
     );
     println!("== Figure 8 (training s/point vs q) ==\n{t}");
-    write_results_file("fig08_training_time", &t).ok();
+    write_results_file("fig08_training_time.txt", &t).ok();
 
     // Figure 9: testing time vs q.
     let mut rows9 = Vec::new();
@@ -140,7 +140,7 @@ fn main() {
         &rows9,
     );
     println!("== Figure 9 (testing s/example vs q) ==\n{t}");
-    write_results_file("fig09_testing_time", &t).ok();
+    write_results_file("fig09_testing_time.txt", &t).ok();
 
     // Figure 10: testing time vs dimensionality.
     let cfg = ExperimentConfig {
@@ -176,7 +176,7 @@ fn main() {
     }
     let t = render_table(&["dims", "q=80", "q=140"], &rows10);
     println!("== Figure 10 (testing s/example vs dimensionality) ==\n{t}");
-    write_results_file("fig10_dimensionality", &t).ok();
+    write_results_file("fig10_dimensionality.txt", &t).ok();
 
     // Figure 11: training time vs data size.
     let mut rows11 = Vec::new();
@@ -197,7 +197,7 @@ fn main() {
     }
     let t = render_table(&["points", "train_s_per_example"], &rows11);
     println!("== Figure 11 (training s/example vs data size) ==\n{t}");
-    write_results_file("fig11_scalability", &t).ok();
+    write_results_file("fig11_scalability.txt", &t).ok();
 
     println!("all figures written under results/");
 }

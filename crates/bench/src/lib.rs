@@ -16,9 +16,13 @@
 //! | `fig10_dimensionality` | Fig. 10 | testing s/point vs dims, ionosphere |
 //! | `fig11_scalability` | Fig. 11 | training s/point vs data size, cover |
 //!
-//! Criterion micro-benchmarks live under `benches/`: kernel and density
-//! evaluation, maintainer throughput, classification latency, and the
-//! ablations called out in `DESIGN.md`.
+//! The criterion benches under `benches/` are the ones CI smoke-runs:
+//! `bench_simd_parallel` (column builds, `fast_exp`, the `evaluate`
+//! thread axis), `bench_observe` (telemetry overhead), `bench_shard`
+//! (sharded ingest), `bench_serve` (batched vs unbatched serving) and
+//! `bench_density_backends` (exact vs coreset). Each writes its report
+//! through [`write_results_file`] and shrinks under [`quick_mode`]. The
+//! end-to-end benchmark lives in its own package, `e2ebench/`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -30,4 +34,4 @@ pub use experiment::{
     accuracy_sweep_clusters, accuracy_sweep_error, testing_time, training_time, AccuracyRow,
     ExperimentConfig, TimingRow,
 };
-pub use table::{render_table, write_results_file};
+pub use table::{quick_mode, render_table, write_results_file};

@@ -1,7 +1,6 @@
 //! Minimal fixed-width table rendering and results persistence.
 
-use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use udm_core::Result;
 
 /// Renders a fixed-width text table: one header row plus data rows.
@@ -38,14 +37,27 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes rendered results under `results/<name>.txt`, creating the
-/// directory if needed, and echoes the path written.
-pub fn write_results_file(name: &str, content: &str) -> Result<std::path::PathBuf> {
-    let dir = Path::new("results");
+/// Whether `UDM_BENCH_QUICK` is set: the criterion benches then shrink
+/// their matrices and sampling to a smoke run.
+pub fn quick_mode() -> bool {
+    std::env::var_os("UDM_BENCH_QUICK").is_some()
+}
+
+/// The repository's `results/` directory, resolved from this crate's
+/// manifest so that binaries and benches write there from any working
+/// directory (cargo runs benches from the package directory).
+const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
+/// Writes `content` to `<repo>/results/<file_name>`, creating the
+/// directory if needed, and returns the path written.
+pub fn write_results_file(file_name: &str, content: &str) -> Result<PathBuf> {
+    write_into(Path::new(RESULTS_DIR), file_name, content)
+}
+
+fn write_into(dir: &Path, file_name: &str, content: &str) -> Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.txt"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(content.as_bytes())?;
+    let path = dir.join(file_name);
+    std::fs::write(&path, content)?;
     Ok(path)
 }
 
@@ -81,14 +93,12 @@ mod tests {
 
     #[test]
     fn writes_results_file() {
-        let cwd = std::env::current_dir().unwrap();
-        let tmp = std::env::temp_dir().join("udm_table_test");
-        std::fs::create_dir_all(&tmp).unwrap();
-        std::env::set_current_dir(&tmp).unwrap();
-        let path = write_results_file("unit_test", "hello\n").unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "hello\n");
-        std::env::set_current_dir(cwd).unwrap();
+        let dir = Path::new(RESULTS_DIR);
+        assert!(dir.ends_with("results"));
+        assert!(dir.join("../Cargo.lock").is_file(), "{RESULTS_DIR}");
+        let tmp = std::env::temp_dir().join(format!("udm_table_test_{}", std::process::id()));
+        let path = write_into(&tmp.join("results"), "unit_test.txt", "hello\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "hello\n");
         std::fs::remove_dir_all(&tmp).ok();
     }
 }

@@ -228,13 +228,6 @@ impl KernelColumns {
         }
         sum / self.norm
     }
-
-    /// Batch evaluation over many subspaces of the same query — the
-    /// roll-up's access pattern. Fails fast on the first invalid
-    /// subspace.
-    pub fn density_many(&self, subspaces: &[Subspace]) -> Result<Vec<f64>> {
-        subspaces.iter().map(|&s| self.density(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -357,20 +350,5 @@ mod tests {
             let reference = c.density_rowwise(s);
             assert_eq!(fast.to_bits(), reference.to_bits(), "subspace {bits:#b}");
         }
-    }
-
-    #[test]
-    fn density_many_matches_individual_calls() {
-        let c = KernelColumns::new(2, vec![0.1, 0.9, 0.3, 0.7], None, 2.0).unwrap();
-        let subs = [
-            Subspace::singleton(0).unwrap(),
-            Subspace::singleton(1).unwrap(),
-            Subspace::full(2).unwrap(),
-        ];
-        let batch = c.density_many(&subs).unwrap();
-        for (i, &s) in subs.iter().enumerate() {
-            assert_eq!(batch[i], c.density(s).unwrap());
-        }
-        assert!(c.density_many(&[Subspace::EMPTY]).is_err());
     }
 }

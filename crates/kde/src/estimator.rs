@@ -226,17 +226,6 @@ impl<'a> ErrorKde<'a> {
         );
         KernelColumns::from_dim_major(dim, cols, None, f64_from_usize(self.data.len()))
     }
-
-    /// Batch evaluation of many subspace densities of one query through
-    /// the column cache — `O(n·d)` kernel calls total instead of
-    /// `O(n·Σ|S|)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::kernel_columns`], plus per-subspace validation errors.
-    pub fn density_subspaces(&self, x: &[f64], subspaces: &[Subspace]) -> Result<Vec<f64>> {
-        self.kernel_columns(x)?.density_many(subspaces)
-    }
 }
 
 #[cfg(test)]
@@ -447,12 +436,12 @@ mod tests {
             Subspace::singleton(1).unwrap(),
             Subspace::full(2).unwrap(),
         ];
-        let batch = kde.density_subspaces(&[1.0, 2.0], &subs).unwrap();
-        for (i, &s) in subs.iter().enumerate() {
+        let cols = kde.kernel_columns(&[1.0, 2.0]).unwrap();
+        for &s in &subs {
             let naive = kde.density_subspace(&[1.0, 2.0], s).unwrap();
-            assert_eq!(batch[i].to_bits(), naive.to_bits());
+            assert_eq!(cols.density(s).unwrap().to_bits(), naive.to_bits());
         }
-        assert!(kde.density_subspaces(&[1.0], &subs).is_err());
+        assert!(cols.density(Subspace::EMPTY).is_err());
         assert!(kde.kernel_columns(&[1.0]).is_err());
     }
 

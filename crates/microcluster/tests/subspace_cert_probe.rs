@@ -83,5 +83,8 @@ fn probe_subspace_certificate() {
         }
     }
     println!("worst err/certified ratio = {worst}, violations = {violations}");
-    assert!(violations == 0, "subspace certificate violated, worst ratio {worst}");
+    assert!(
+        violations == 0,
+        "subspace certificate violated, worst ratio {worst}"
+    );
 }

@@ -438,13 +438,6 @@ impl Registry {
             }
         }
     }
-
-    /// Removes every registered metric (test hook).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
 }
 
 impl Default for Registry {
@@ -688,8 +681,6 @@ mod tests {
         assert_eq!(snap.counters[0].name, "aaa");
         assert_eq!(snap.counters[1].name, "zzz");
         assert_eq!(snap.histograms[0].name, "mid");
-        r.clear();
-        assert!(r.snapshot().counters.is_empty());
     }
 
     #[test]
