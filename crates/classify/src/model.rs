@@ -331,7 +331,7 @@ impl DensityClassifier {
     /// Configuration validation errors; [`UdmError::InvalidConfig`] when
     /// the training data has fewer than 2 classes.
     pub fn fit(train: &UncertainDataset, config: ClassifierConfig) -> Result<Self> {
-        let _span_fit = udm_observe::span!("classify_fit");
+        udm_observe::span!("classify_fit");
         let summaries = Summaries::build(train, &config)?;
         let global_kde = summaries.kde(summaries.global.clusters(), &config)?;
         let mut labels = Vec::with_capacity(summaries.classes.len());
@@ -493,7 +493,7 @@ impl DensityClassifier {
         }
         udm_core::num::ensure_finite_slice("query point values", x.values())?;
         udm_core::num::ensure_finite_slice("query point errors", x.errors())?;
-        let _span_point = udm_observe::span!("classify_point");
+        udm_observe::span!("classify_point");
         let oracle = self.oracle(&self.runtime.spec(), x)?;
         self.decide(&oracle)
     }
@@ -540,7 +540,7 @@ impl DensityClassifier {
         }
         udm_core::num::ensure_finite_slice("query point values", x.values())?;
         udm_core::num::ensure_finite_slice("query point errors", x.errors())?;
-        let _span_point = udm_observe::span!("classify_point");
+        udm_observe::span!("classify_point");
         let oracle = self.oracle(spec, x)?;
         let outcome = self.decide(&oracle)?;
         let scores = self.scores_from(&oracle)?;

@@ -90,7 +90,7 @@ pub fn rollup<O: AccuracyOracle>(
     threshold: f64,
     limits: RollupLimits,
 ) -> Result<RollupOutcome> {
-    let _span_rollup = udm_observe::span!("rollup");
+    udm_observe::span!("rollup");
     let labels = oracle.labels().to_vec();
     let mut qualifying: Vec<DiscriminativeSubspace> = Vec::new();
     let mut best_singleton: Option<DiscriminativeSubspace> = None;

@@ -119,7 +119,7 @@ fn run_sharded_drill<W: Write>(
     shards: usize,
     kill_shard: Option<usize>,
 ) -> Result<f64> {
-    let _span = udm_observe::span!("cli_chaos_sharded");
+    udm_observe::span!("cli_chaos_sharded");
     let rate = rates[0];
     let faulty = FaultyStream::new(train, FaultPlan::uniform(rate), seed.wrapping_add(500))?;
     let (records, faults) = faulty.records();
@@ -372,14 +372,14 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             nn,
             backend,
         } => {
-            let _span_cmd = udm_observe::span!("cli_classify");
+            udm_observe::span!("cli_classify");
             let (train_data, test_data) = {
-                let _span_load = udm_observe::span!("load");
+                udm_observe::span!("load");
                 (load(&train)?, load(&test)?)
             };
             let report = if nn {
                 let model = NnClassifier::fit(&train_data)?;
-                let _span_eval = udm_observe::span!("evaluate");
+                udm_observe::span!("evaluate");
                 evaluate(&model, &test_data)?
             } else {
                 let mut config = if unadjusted {
@@ -389,11 +389,11 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
                 };
                 config.accuracy_threshold = threshold;
                 let model = {
-                    let _span_fit = udm_observe::span!("fit");
+                    udm_observe::span!("fit");
                     DensityClassifier::fit(&train_data, config)?
                 };
                 model.set_backend(backend)?;
-                let _span_eval = udm_observe::span!("evaluate");
+                udm_observe::span!("evaluate");
                 evaluate(&model, &test_data)?
             };
             let kind = if nn {
@@ -517,7 +517,7 @@ pub fn run<W: Write>(command: Command, out: &mut W) -> Result<()> {
             kill_shard,
             backend,
         } => {
-            let _span_cmd = udm_observe::span!("cli_chaos");
+            udm_observe::span!("cli_chaos");
             let synthesize = |rows: usize, s: u64| -> Result<UncertainDataset> {
                 let clean = dataset.generate(rows, s);
                 if f > 0.0 {

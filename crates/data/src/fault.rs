@@ -117,11 +117,14 @@ impl FaultKind {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "ALL contains every variant by construction"
+    )]
     fn index(self) -> usize {
         FaultKind::ALL
             .iter()
             .position(|&k| k == self)
-            // udm-lint: allow(UDM001) ALL contains every variant by construction
             .expect("kind in ALL")
     }
 }

@@ -100,12 +100,18 @@ impl DriftingStream {
                     values.push(displaced);
                     errors.push(psi);
                 }
-                // udm-lint: allow(UDM001) regime means/stds/error_scale validated finite, so cells are finite
+                #[expect(
+                    clippy::expect_used,
+                    reason = "regime means/stds/error_scale validated finite, so cells are finite"
+                )]
                 let mut q = UncertainPoint::new(values, errors).expect("finite cells");
                 if let Some(l) = p.label() {
                     q = q.with_label(l);
                 }
-                // udm-lint: allow(UDM001) all regimes share dim(), checked at construction
+                #[expect(
+                    clippy::expect_used,
+                    reason = "all regimes share dim(), checked at construction"
+                )]
                 out.push(q.with_timestamp(t)).expect("uniform dims");
                 t += 1;
             }

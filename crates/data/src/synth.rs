@@ -157,11 +157,17 @@ impl MixtureGenerator {
             let values: Vec<f64> = (0..self.dim)
                 .map(|j| spec.mean[j] + spec.std[j] * standard_normal(&mut rng))
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "means/stds validated finite at construction, so draws are finite"
+            )]
             let point = UncertainPoint::exact(values)
-                // udm-lint: allow(UDM001) means/stds validated finite at construction, so draws are finite
                 .expect("generated values are finite")
                 .with_label(self.labels[class_idx]);
-            // udm-lint: allow(UDM001) every point is built with self.dim coordinates
+            #[expect(
+                clippy::expect_used,
+                reason = "every point is built with self.dim coordinates"
+            )]
             data.push(point).expect("dimensionality is uniform");
         }
         data

@@ -36,6 +36,8 @@
 //! the literal break, preserving the contract in the degenerate case
 //! too. The naive `density_subspace` remains the correctness oracle.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::chunked;
 use udm_core::{Result, Subspace, UdmError};
 

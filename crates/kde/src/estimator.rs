@@ -1,6 +1,8 @@
 //! The point-based error-adjusted density estimator (Eqs. 1, 4 of the
 //! paper), evaluable over the full space or any subspace.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::bandwidth::BandwidthRule;
 use crate::columns::KernelColumns;
 use crate::error_kernel::{ErrorKernelForm, GaussianErrorKernel};

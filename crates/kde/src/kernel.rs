@@ -1,9 +1,12 @@
-//! Classic (error-free) kernel functions.
+//! The classic (error-free) Gaussian kernel.
 //!
 //! A kernel `K` is a symmetric probability density; the scaled kernel used
-//! in estimation is `K_h(u) = (1/h)·K(u/h)` (Eq. 2 of the paper for the
-//! Gaussian case). All kernels here integrate to 1 over ℝ, which the test
-//! suite verifies by quadrature.
+//! in estimation is `K_h(u) = (1/h)·K(u/h)` (Eq. 2 of the paper). It is the
+//! `ψ = 0` reference the error-based kernel ([`crate::error_kernel`]) is
+//! tested against; the test suite checks by quadrature that it integrates
+//! to 1 over ℝ.
+
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use serde::{Deserialize, Serialize};
 
@@ -27,10 +30,6 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
         }
         self.profile(diff / h) / h
     }
-
-    /// Radius (in multiples of `h`) beyond which the kernel is exactly or
-    /// effectively zero. `None` means unbounded support (Gaussian).
-    fn support_radius(&self) -> Option<f64>;
 }
 
 /// The Gaussian kernel `K(u) = (1/√2π)·e^{−u²/2}` — the kernel the paper
@@ -44,70 +43,6 @@ impl Kernel for GaussianKernel {
     fn profile(&self, u: f64) -> f64 {
         INV_SQRT_2PI * (-0.5 * u * u).exp()
     }
-
-    fn support_radius(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// The Epanechnikov kernel `K(u) = 0.75·(1 − u²)` for `|u| ≤ 1` — the
-/// mean-integrated-squared-error optimal kernel; provided for completeness
-/// and for exact-support grid evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpanechnikovKernel;
-
-impl Kernel for EpanechnikovKernel {
-    #[inline]
-    fn profile(&self, u: f64) -> f64 {
-        if u.abs() <= 1.0 {
-            0.75 * (1.0 - u * u)
-        } else {
-            0.0
-        }
-    }
-
-    fn support_radius(&self) -> Option<f64> {
-        Some(1.0)
-    }
-}
-
-/// The uniform (box) kernel `K(u) = 1/2` for `|u| ≤ 1`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UniformKernel;
-
-impl Kernel for UniformKernel {
-    #[inline]
-    fn profile(&self, u: f64) -> f64 {
-        if u.abs() <= 1.0 {
-            0.5
-        } else {
-            0.0
-        }
-    }
-
-    fn support_radius(&self) -> Option<f64> {
-        Some(1.0)
-    }
-}
-
-/// The triangular kernel `K(u) = 1 − |u|` for `|u| ≤ 1`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TriangularKernel;
-
-impl Kernel for TriangularKernel {
-    #[inline]
-    fn profile(&self, u: f64) -> f64 {
-        let a = u.abs();
-        if a <= 1.0 {
-            1.0 - a
-        } else {
-            0.0
-        }
-    }
-
-    fn support_radius(&self) -> Option<f64> {
-        Some(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -115,22 +50,13 @@ mod tests {
     use super::*;
     use crate::quadrature::trapezoid;
 
-    fn integrates_to_one<K: Kernel>(k: &K) {
-        // Tolerance admits the half-cell quadrature error at the jump
-        // discontinuities of compact kernels (uniform): 2 × step/2 × K(1).
-        let integral = trapezoid(|u| k.profile(u), -10.0, 10.0, 20_001);
+    #[test]
+    fn gaussian_kernel_is_normalized() {
+        let integral = trapezoid(|u| GaussianKernel.profile(u), -10.0, 10.0, 20_001);
         assert!(
             (integral - 1.0).abs() < 1e-3,
-            "kernel {k:?} integrates to {integral}"
+            "Gaussian kernel integrates to {integral}"
         );
-    }
-
-    #[test]
-    fn all_kernels_are_normalized() {
-        integrates_to_one(&GaussianKernel);
-        integrates_to_one(&EpanechnikovKernel);
-        integrates_to_one(&UniformKernel);
-        integrates_to_one(&TriangularKernel);
     }
 
     #[test]
@@ -139,15 +65,9 @@ mod tests {
     }
 
     #[test]
-    fn kernels_are_symmetric() {
+    fn kernel_is_symmetric() {
         for u in [0.1, 0.5, 0.9, 2.0] {
             assert_eq!(GaussianKernel.profile(u), GaussianKernel.profile(-u));
-            assert_eq!(
-                EpanechnikovKernel.profile(u),
-                EpanechnikovKernel.profile(-u)
-            );
-            assert_eq!(UniformKernel.profile(u), UniformKernel.profile(-u));
-            assert_eq!(TriangularKernel.profile(u), TriangularKernel.profile(-u));
         }
     }
 
@@ -167,22 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_kernels_vanish_outside_support() {
-        assert_eq!(EpanechnikovKernel.profile(1.01), 0.0);
-        assert_eq!(UniformKernel.profile(-1.01), 0.0);
-        assert_eq!(TriangularKernel.profile(2.0), 0.0);
-    }
-
-    #[test]
     fn degenerate_bandwidth_is_point_mass() {
         assert_eq!(GaussianKernel.evaluate(0.5, 0.0), 0.0);
         assert!(GaussianKernel.evaluate(0.0, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn support_radii() {
-        assert_eq!(GaussianKernel.support_radius(), None);
-        assert_eq!(EpanechnikovKernel.support_radius(), Some(1.0));
     }
 }
 
@@ -193,11 +100,8 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn kernels_are_non_negative(u in -100.0f64..100.0) {
+        fn kernel_is_non_negative(u in -100.0f64..100.0) {
             prop_assert!(GaussianKernel.profile(u) >= 0.0);
-            prop_assert!(EpanechnikovKernel.profile(u) >= 0.0);
-            prop_assert!(UniformKernel.profile(u) >= 0.0);
-            prop_assert!(TriangularKernel.profile(u) >= 0.0);
         }
 
         #[test]

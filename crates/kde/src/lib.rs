@@ -22,7 +22,7 @@
 //!
 //! * [`backend`] — the `exact | coreset:EPS` accuracy-vs-latency
 //!   [`BackendSpec`] every density consumer selects a mixture with,
-//! * [`kernel`] — classic kernel functions (Gaussian, Epanechnikov, …),
+//! * [`kernel`] — the classic Gaussian kernel (the `ψ = 0` reference),
 //! * [`error_kernel`] — the paper's error-based Gaussian kernel (Eq. 3) in
 //!   both paper-faithful and renormalized forms,
 //! * [`bandwidth`] — Silverman / Scott / fixed bandwidth selection,
@@ -42,12 +42,21 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod ascii;
 pub mod backend;
 pub mod bandwidth;
 pub mod chunked;
-pub mod classic;
 pub mod columns;
 pub mod error_kernel;
 pub mod estimator;
@@ -59,10 +68,9 @@ pub mod quadrature;
 pub use ascii::chart;
 pub use backend::BackendSpec;
 pub use bandwidth::{silverman_bandwidth, silverman_robust_bandwidth, BandwidthRule};
-pub use classic::ClassicKde;
 pub use columns::KernelColumns;
 pub use error_kernel::{ErrorKernelForm, GaussianErrorKernel};
 pub use estimator::{ErrorKde, KdeConfig};
 pub use fastexp::{fast_exp, hot_exp, FAST_EXP_MAX_ABS_ERROR};
 pub use grid::Grid1D;
-pub use kernel::{EpanechnikovKernel, GaussianKernel, Kernel, TriangularKernel, UniformKernel};
+pub use kernel::{GaussianKernel, Kernel};

@@ -1,12 +1,16 @@
 //! Per-file lint context: which crate a file belongs to, whether the
-//! rules apply to it, and which byte regions are test code.
+//! rules apply to it, and which byte regions a `cfg` gate covers.
+//!
+//! Gates are found by one token scan ([`find_cfg_regions`]): an outer
+//! attribute opens a region from its `#` to the end of the item or
+//! statement it decorates (the matching `}` of its body, or its `;`).
+//! A `cfg!(..)` macro test opens a region over its enclosing statement.
 
-use crate::ast::Ast;
 use crate::lexer::{Lexed, Tok};
-use std::path::Path;
 
-/// Library crates whose non-test code must be panic-free (UDM001) and
-/// whose public estimator entry points must validate inputs (UDM005).
+/// Library crates whose non-test code must keep variance square roots
+/// clamped (UDM003) and whose public estimator entry points must
+/// validate inputs (UDM005).
 pub const LIBRARY_CRATES: [&str; 7] = [
     "core",
     "kde",
@@ -17,39 +21,28 @@ pub const LIBRARY_CRATES: [&str; 7] = [
     "serve",
 ];
 
-/// Hot-path modules (crate/file-stem) where lossy `as` casts are
-/// forbidden (UDM004): the per-query kernels and micro-cluster math.
-pub const HOT_PATH_MODULES: [&str; 10] = [
-    "kde/error_kernel",
-    "kde/estimator",
-    "kde/columns",
-    "kde/chunked",
-    "kde/fastexp",
-    "kde/classic",
-    "kde/kernel",
-    "microcluster/density",
-    "microcluster/feature",
-    "microcluster/distance",
-];
+/// The feature whose items must stay unreachable from default builds
+/// (UDM008).
+pub const GATED_FEATURE: &str = "fast-math";
 
 /// How the rules treat one file.
 #[derive(Debug, Clone)]
 pub struct FileContext {
     /// Root-relative path (forward slashes), as shown in diagnostics.
     pub rel_path: String,
-    /// Library-crate `src/` code (UDM001/UDM003/UDM005 apply).
+    /// Library-crate `src/` code (UDM003/UDM005 apply).
     pub is_library: bool,
-    /// Hot-path module (UDM004 applies).
-    pub is_hot_path: bool,
     /// Entire file is test/bench code (`tests/`, `benches/`, examples).
     pub is_test_file: bool,
-    /// Byte ranges of `#[cfg(test)]` / `#[test]` items.
+    /// Byte ranges of code that only exists in test builds.
     pub test_regions: Vec<(usize, usize)>,
+    /// Byte ranges of code that only exists with [`GATED_FEATURE`] on.
+    pub fast_math_regions: Vec<(usize, usize)>,
 }
 
 impl FileContext {
     /// Builds the context for a file. In `fixture_mode` every file is
-    /// treated as library + hot-path non-test code so every rule fires.
+    /// treated as library non-test code so every rule fires.
     pub fn new(rel_path: &str, lexed: &Lexed, fixture_mode: bool) -> Self {
         let rel_path = rel_path.replace('\\', "/");
         let parts: Vec<&str> = rel_path.split('/').collect();
@@ -63,134 +56,224 @@ impl FileContext {
             && (parts.contains(&"tests")
                 || parts.contains(&"benches")
                 || parts.contains(&"examples"));
-        let stem = Path::new(&rel_path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("")
-            .to_string();
-        let module = format!("{crate_name}/{stem}");
+        let regions = find_cfg_regions(&lexed.toks);
         FileContext {
             is_library: fixture_mode || (in_src && LIBRARY_CRATES.contains(&crate_name)),
-            is_hot_path: fixture_mode || (in_src && HOT_PATH_MODULES.contains(&module.as_str())),
             is_test_file,
-            test_regions: find_test_regions(&lexed.toks),
+            test_regions: regions.test,
+            fast_math_regions: regions.fast_math,
             rel_path,
         }
     }
 
-    /// Builds the context with *scope-aware* test regions derived from
-    /// the parsed AST (exact item extents and full `cfg` predicate
-    /// evaluation) instead of the token heuristic. Used whenever the
-    /// parser produced a full-coverage tree; `FileContext::new` remains
-    /// the lexer-fallback path.
-    pub fn from_ast(rel_path: &str, lexed: &Lexed, ast: &Ast, fixture_mode: bool) -> Self {
-        let mut ctx = Self::new(rel_path, lexed, fixture_mode);
-        let mut regions = Vec::new();
-        ast.visit_items(&mut |item, ancestors| {
-            // Only the outermost test-gated item opens a region.
-            if item.is_test_gated() && !ancestors.iter().any(|a| a.is_test_gated()) {
-                let (s, e) = item.span;
-                if let (Some(st), Some(et)) = (
-                    lexed.toks.get(s),
-                    e.checked_sub(1).and_then(|k| lexed.toks.get(k)),
-                ) {
-                    regions.push((st.start, et.end));
-                }
-            }
-        });
-        ctx.test_regions = regions;
-        ctx
-    }
-
     /// True if the byte offset lies inside test code.
     pub fn in_test(&self, offset: usize) -> bool {
-        self.is_test_file
-            || self
-                .test_regions
-                .iter()
-                .any(|&(s, e)| offset >= s && offset < e)
+        self.is_test_file || in_regions(&self.test_regions, offset)
+    }
+
+    /// True if the byte offset lies inside [`GATED_FEATURE`]-only code.
+    pub fn in_fast_math(&self, offset: usize) -> bool {
+        in_regions(&self.fast_math_regions, offset)
     }
 }
 
-/// Finds byte ranges of items gated by `#[cfg(test)]` (or variants whose
-/// `cfg` predicate mentions `test`) and of `#[test]` functions: from the
-/// attribute's `#` to the matching `}` of the item body.
-fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
+fn in_regions(regions: &[(usize, usize)], offset: usize) -> bool {
+    regions.iter().any(|&(s, e)| offset >= s && offset < e)
+}
+
+/// Byte ranges covered by each kind of gate.
+#[derive(Debug, Default)]
+pub struct CfgRegions {
+    /// `#[test]` items and items whose `cfg` requires `test`.
+    pub test: Vec<(usize, usize)>,
+    /// Items and statements whose `cfg` requires [`GATED_FEATURE`], and
+    /// statements that test `cfg!(feature = "fast-math")`.
+    pub fast_math: Vec<(usize, usize)>,
+}
+
+/// What a `cfg` predicate requires. An atom counts only outside any
+/// `not(..)`: `cfg(not(test))` is default-build code, while
+/// `cfg(any(test, feature = "fast-math"))` counts as both gates.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Requires {
+    test: bool,
+    fast_math: bool,
+}
+
+/// Scans the predicate tokens `toks[open..close]` (inside the `cfg(..)`
+/// parentheses) for positive `test` / `feature = "fast-math"` atoms.
+fn cfg_requires(toks: &[Tok], open: usize, close: usize) -> Requires {
+    let mut req = Requires::default();
+    let mut depth = 0usize;
+    // Depths at which a `not(` group opened; an atom inside any is negated.
+    let mut not_depths: Vec<usize> = Vec::new();
+    for k in open..close {
+        let t = &toks[k];
+        if t.is_punct("(") {
+            depth += 1;
+            if k > 0 && toks[k - 1].is_ident("not") {
+                not_depths.push(depth);
+            }
+        } else if t.is_punct(")") {
+            if not_depths.last() == Some(&depth) {
+                not_depths.pop();
+            }
+            depth = depth.saturating_sub(1);
+        } else if not_depths.is_empty() {
+            if t.is_ident("test") {
+                req.test = true;
+            } else if t.text.trim_matches('"') == GATED_FEATURE
+                && k >= 2
+                && toks[k - 1].is_punct("=")
+                && toks[k - 2].is_ident("feature")
+            {
+                req.fast_math = true;
+            }
+        }
+    }
+    req
+}
+
+/// Index of the token closing the group opened at `open` (`(`, `[` or
+/// `{`), counting all three bracket kinds.
+pub(crate) fn group_close(toks: &[Tok], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if is_opener(t) {
+            depth += 1;
+        } else if is_closer(t) {
+            depth = depth.checked_sub(1)?;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+pub(crate) fn is_opener(t: &Tok) -> bool {
+    t.is_punct("(") || t.is_punct("[") || t.is_punct("{")
+}
+
+pub(crate) fn is_closer(t: &Tok) -> bool {
+    t.is_punct(")") || t.is_punct("]") || t.is_punct("}")
+}
+
+/// Last token index of the item or statement starting at `k`: its
+/// `;`, or the `}` closing its first top-level brace group. Stops at the
+/// close of an enclosing group.
+fn item_end(toks: &[Tok], mut k: usize) -> usize {
+    while k < toks.len() {
+        let t = &toks[k];
+        if t.is_punct(";") {
+            return k;
+        }
+        if t.is_punct("{") {
+            return group_close(toks, k).unwrap_or(toks.len() - 1);
+        }
+        if is_opener(t) {
+            match group_close(toks, k) {
+                Some(c) => k = c,
+                None => return toks.len() - 1,
+            }
+        } else if is_closer(t) {
+            return k.saturating_sub(1);
+        }
+        k += 1;
+    }
+    toks.len().saturating_sub(1)
+}
+
+/// Token range `[first, last]` of the statement around index `i`: back
+/// to the previous `;` or block boundary at the same level, forward to
+/// the next `;` or the enclosing block's `}`. Enclosing `(..)`/`[..]`
+/// groups are stepped out of, so `f(cfg!(..)) + g()` is one statement.
+fn statement_around(toks: &[Tok], i: usize) -> (usize, usize) {
+    let mut first = 0;
+    let mut depth = 0usize;
+    for j in (0..i).rev() {
+        let t = &toks[j];
+        if depth == 0 && (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) {
+            first = j + 1;
+            break;
+        }
+        if is_closer(t) {
+            depth += 1;
+        } else if is_opener(t) {
+            depth = depth.saturating_sub(1);
+        }
+    }
+    let mut last = toks.len().saturating_sub(1);
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(i) {
+        if depth == 0 && (t.is_punct(";") || t.is_punct("}")) {
+            last = if t.is_punct(";") {
+                j
+            } else {
+                j.saturating_sub(1)
+            };
+            break;
+        }
+        if is_opener(t) {
+            depth += 1;
+        } else if is_closer(t) {
+            depth = depth.saturating_sub(1);
+        }
+    }
+    (first, last)
+}
+
+/// Finds the byte ranges of test-only and fast-math-only code:
+///
+/// * `#[test]` and `#[cfg(..)]` outer attributes cover the item or
+///   statement they decorate, from the attribute's `#` on (further
+///   attributes included);
+/// * `cfg!(..)` covers its enclosing statement, so both arms of
+///   `if cfg!(feature = "fast-math") { .. } else { .. }` count as gated.
+pub fn find_cfg_regions(toks: &[Tok]) -> CfgRegions {
+    let mut regions = CfgRegions::default();
+    let span = |first: usize, last: usize| (toks[first].start, toks[last].end);
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].is_punct("#") && i + 1 < toks.len() && toks[i + 1].is_punct("[") {
-            let attr_start = toks[i].start;
-            // Find matching `]` and check the attribute mentions test.
-            let mut depth = 0usize;
-            let mut j = i + 1;
-            let mut is_test_attr = false;
-            let mut saw_cfg = false;
-            let mut saw_test = false;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("[") || t.is_punct("(") {
-                    depth += 1;
-                } else if t.is_punct("]") || t.is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if t.is_ident("cfg") {
-                    saw_cfg = true;
-                } else if t.is_ident("test") || t.is_ident("tests") {
-                    saw_test = true;
-                    // `#[test]` exactly: `#`, `[`, `test`, `]`
-                    if j == i + 2 && j + 1 < toks.len() && toks[j + 1].is_punct("]") {
-                        is_test_attr = true;
-                    }
+        let is_attr = toks[i].is_punct("#") && toks.get(i + 1).is_some_and(|t| t.is_punct("["));
+        let is_cfg_macro = toks[i].is_ident("cfg")
+            && toks.get(i + 1).is_some_and(|t| t.is_punct("!"))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct("("));
+        if is_attr {
+            let Some(close) = group_close(toks, i + 1) else {
+                break;
+            };
+            let req = if toks.get(i + 2).is_some_and(|t| t.is_ident("test")) && close == i + 3 {
+                Requires {
+                    test: true,
+                    fast_math: false,
                 }
-                j += 1;
-            }
-            if (saw_cfg && saw_test) || is_test_attr {
-                // Skip any further attributes, then brace-match the item.
-                let mut k = j + 1;
-                while k + 1 < toks.len() && toks[k].is_punct("#") && toks[k + 1].is_punct("[") {
-                    let mut d = 0usize;
-                    k += 1;
-                    while k < toks.len() {
-                        if toks[k].is_punct("[") {
-                            d += 1;
-                        } else if toks[k].is_punct("]") {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    k += 1;
+            } else if toks.get(i + 2).is_some_and(|t| t.is_ident("cfg")) {
+                cfg_requires(toks, i + 3, close)
+            } else {
+                Requires::default()
+            };
+            if req != Requires::default() {
+                let last = item_end(toks, close + 1).max(close);
+                if req.test {
+                    regions.test.push(span(i, last));
                 }
-                // Find the item's opening `{` (stop at `;` for
-                // declarations like `mod tests;`).
-                while k < toks.len() && !toks[k].is_punct("{") && !toks[k].is_punct(";") {
-                    k += 1;
-                }
-                if k < toks.len() && toks[k].is_punct("{") {
-                    let mut d = 0usize;
-                    while k < toks.len() {
-                        if toks[k].is_punct("{") {
-                            d += 1;
-                        } else if toks[k].is_punct("}") {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    let end = toks.get(k).map_or(usize::MAX, |t| t.end);
-                    regions.push((attr_start, end));
-                    i = k + 1;
-                    continue;
+                if req.fast_math {
+                    regions.fast_math.push(span(i, last));
                 }
             }
-            i = j + 1;
+            i = close + 1;
+        } else if is_cfg_macro {
+            let close = group_close(toks, i + 2).unwrap_or(i + 2);
+            let req = cfg_requires(toks, i + 3, close);
+            let (first, last) = statement_around(toks, i);
+            if req.test {
+                regions.test.push(span(first, last));
+            }
+            if req.fast_math {
+                regions.fast_math.push(span(first, last));
+            }
+            i = close + 1;
         } else {
             i += 1;
         }
@@ -203,53 +286,92 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
+    fn ctx(src: &str) -> FileContext {
+        FileContext::new("crates/core/src/x.rs", &lex(src), false)
+    }
+
     #[test]
     fn cfg_test_module_region_covers_body() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n fn b() { x.unwrap(); }\n}\nfn c() {}";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/core/src/x.rs", &l, false);
-        assert_eq!(ctx.test_regions.len(), 1);
-        let unwrap_pos = src.find("unwrap").unwrap();
-        assert!(ctx.in_test(unwrap_pos));
-        assert!(!ctx.in_test(src.find("fn a").unwrap()));
-        assert!(!ctx.in_test(src.find("fn c").unwrap()));
+        let c = ctx(src);
+        assert_eq!(c.test_regions.len(), 1);
+        assert!(c.in_test(src.find("unwrap").unwrap()));
+        assert!(!c.in_test(src.find("fn a").unwrap()));
+        assert!(!c.in_test(src.find("fn c").unwrap()));
     }
 
     #[test]
     fn test_fn_attribute_region() {
         let src = "#[test]\nfn t() { y.unwrap(); }\nfn real() {}";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/kde/src/x.rs", &l, false);
-        assert!(ctx.in_test(src.find("y.unwrap").unwrap()));
-        assert!(!ctx.in_test(src.find("fn real").unwrap()));
+        let c = ctx(src);
+        assert!(c.in_test(src.find("y.unwrap").unwrap()));
+        assert!(!c.in_test(src.find("fn real").unwrap()));
     }
 
     #[test]
-    fn library_and_hot_path_classification() {
+    fn negated_test_gate_is_default_build_code() {
+        let src = "#[cfg(not(test))]\nfn prod() { x.unwrap(); }";
+        let c = ctx(src);
+        assert!(c.test_regions.is_empty());
+        assert!(!c.in_test(src.find("unwrap").unwrap()));
+    }
+
+    #[test]
+    fn library_classification() {
         let l = lex("");
         let c = FileContext::new("crates/kde/src/estimator.rs", &l, false);
-        assert!(c.is_library && c.is_hot_path);
-        let c = FileContext::new("crates/kde/src/bandwidth.rs", &l, false);
-        assert!(c.is_library && !c.is_hot_path);
+        assert!(c.is_library && !c.is_test_file);
         let c = FileContext::new("crates/cli/src/main.rs", &l, false);
-        assert!(!c.is_library && !c.is_hot_path);
+        assert!(!c.is_library);
         let c = FileContext::new("crates/core/tests/int.rs", &l, false);
         assert!(c.is_test_file);
     }
 
     #[test]
     fn fixture_mode_enables_everything() {
-        let l = lex("");
-        let c = FileContext::new("udm001.rs", &l, true);
-        assert!(c.is_library && c.is_hot_path && !c.is_test_file);
+        let c = FileContext::new("udm005.rs", &lex(""), true);
+        assert!(c.is_library && !c.is_test_file);
     }
 
     #[test]
     fn derive_attributes_do_not_open_regions() {
         let src = "#[derive(Debug)]\nstruct S;\nfn f() { x.unwrap(); }";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/core/src/x.rs", &l, false);
-        assert!(ctx.test_regions.is_empty());
-        assert!(!ctx.in_test(src.find("unwrap").unwrap()));
+        let c = ctx(src);
+        assert!(c.test_regions.is_empty() && c.fast_math_regions.is_empty());
+        assert!(!c.in_test(src.find("unwrap").unwrap()));
+    }
+
+    #[test]
+    fn feature_gates_cover_items_statements_and_declarations() {
+        let src = "#[cfg(feature = \"fast-math\")]\nconst BITS: usize = 11;\n\
+                   fn hot(x: f64) -> f64 {\n\
+                   #[cfg(feature = \"fast-math\")]\n{ approx(x) }\n\
+                   #[cfg(not(feature = \"fast-math\"))]\n{ exact(x) }\n}";
+        let c = ctx(src);
+        assert!(c.in_fast_math(src.find("BITS").unwrap()));
+        assert!(c.in_fast_math(src.find("approx").unwrap()));
+        assert!(!c.in_fast_math(src.find("exact").unwrap()));
+        assert!(!c.in_fast_math(src.find("fn hot").unwrap()));
+    }
+
+    #[test]
+    fn cfg_macro_covers_its_whole_statement() {
+        let src = "fn pick(x: f64) -> f64 { let y = 1.0; \
+                   if cfg!(feature = \"fast-math\") { approx(x) } else { exact(x) } }\n\
+                   fn after() {}";
+        let c = ctx(src);
+        assert!(c.in_fast_math(src.find("approx").unwrap()));
+        assert!(c.in_fast_math(src.find("exact").unwrap()));
+        assert!(!c.in_fast_math(src.find("let y").unwrap()));
+        assert!(!c.in_fast_math(src.find("fn after").unwrap()));
+    }
+
+    #[test]
+    fn gated_static_initialiser_ends_at_its_semicolon() {
+        let src = "#[cfg(feature = \"fast-math\")]\n\
+                   static T: Lazy<f64> = Lazy::new(|| { 1.0 });\nfn next() {}";
+        let c = ctx(src);
+        assert!(c.in_fast_math(src.find("Lazy::new").unwrap()));
+        assert!(!c.in_fast_math(src.find("fn next").unwrap()));
     }
 }

@@ -1,27 +1,18 @@
-//! The check pipeline: walk the tree, lex, parse, run rules, apply
-//! waivers.
+//! The check pipeline: walk the tree, lex, run rules, apply waivers.
 //!
 //! Three passes:
 //!
-//! 1. **Per file** — lex, then parse with [`crate::parser`]. A file
-//!    whose AST has zero errors and total token coverage runs the token
-//!    rules *and* the AST rules (UDM005 scope-aware port, UDM007,
-//!    UDM009); anything else degrades to the lexer-only rule set and is
-//!    recorded in [`CheckReport::parse_fallbacks`] — degradation is
-//!    logged, never silent.
-//! 2. **Cross-file** — the UDM008 fast-math isolation pass over every
-//!    successfully parsed file ([`crate::callgraph`]).
-//! 3. **Waivers** — inline + `lint.toml` filtering, with unused-waiver
-//!    tracking on both sources so stale allows get burned down.
+//! 1. **Per file** — lex, build the [`FileContext`] (crate, test and
+//!    `fast-math` regions), run the per-file rules.
+//! 2. **Cross-file** — the UDM008 fast-math isolation pass.
+//! 3. **Waivers** — inline waiver filtering, with unused-waiver tracking
+//!    so stale allows get burned down.
 
-use crate::ast::Ast;
-use crate::astrules::run_ast_rules;
-use crate::callgraph::{udm008_fast_math_isolation, FileAst};
 use crate::context::FileContext;
 use crate::lexer::{lex, Lexed};
-use crate::rules::{run_token_rules, Diagnostic, ALL_RULES};
-use crate::waivers::{apply_waivers, inline_waivers, parse_lint_toml, TomlWaiver};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::rules::{run_file_rules, udm008_fast_math_isolation, Diagnostic, ALL_RULES};
+use crate::waivers::{apply_waivers, inline_waivers};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -39,24 +30,8 @@ pub struct CheckReport {
     pub per_rule: BTreeMap<&'static str, (usize, usize)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Number of files with a full-coverage AST (AST rules ran).
-    pub parsed_files: usize,
-    /// Files that degraded to the lexer-only path, with the reason.
-    pub parse_fallbacks: Vec<String>,
-    /// `lint.toml` entries that matched nothing (likely stale).
-    pub unused_toml_waivers: Vec<String>,
     /// Inline `// udm-lint: allow(..)` comments that matched nothing.
-    pub unused_inline_waivers: Vec<String>,
-}
-
-/// Per-file analysis state carried between the passes.
-struct FileAnalysis {
-    rel: String,
-    lexed: Lexed,
-    /// Present only when the parse met the full-coverage bar.
-    ast: Option<Ast>,
-    ctx: FileContext,
-    diags: Vec<Diagnostic>,
+    pub unused_waivers: Vec<String>,
 }
 
 /// Recursively collects `.rs` files under `root`, skipping build output,
@@ -92,26 +67,18 @@ pub fn is_workspace_root(root: &Path) -> bool {
         .unwrap_or(false)
 }
 
-/// Loads `root/lint.toml` if present.
-pub fn load_lint_toml(root: &Path) -> Result<Vec<TomlWaiver>, String> {
-    match std::fs::read_to_string(root.join("lint.toml")) {
-        Ok(text) => parse_lint_toml(&text),
-        Err(_) => Ok(Vec::new()),
-    }
-}
-
 /// Runs the full check over `root`.
 pub fn check(root: &Path) -> Result<CheckReport, String> {
-    let toml = load_lint_toml(root)?;
     let fixture_mode = !is_workspace_root(root);
     let files = collect_rust_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let mut report = CheckReport::default();
-    for rule in ALL_RULES {
-        report.per_rule.insert(rule, (0, 0));
-    }
+    let mut report = CheckReport {
+        per_rule: ALL_RULES.iter().map(|&r| (r, (0, 0))).collect(),
+        files_scanned: files.len(),
+        ..CheckReport::default()
+    };
 
-    // Pass 1: per-file lex + parse + single-file rules.
-    let mut analyses: Vec<FileAnalysis> = Vec::new();
+    // Pass 1: per-file rules.
+    let mut analyses: Vec<(Lexed, FileContext, Vec<Diagnostic>)> = Vec::new();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -121,70 +88,34 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         let lexed = lex(&src);
-        let ast = crate::parser::parse(&lexed);
-        let full_coverage = ast.errors.is_empty() && ast.covers_all_tokens();
-        let (ast, ctx, diags) = if full_coverage {
-            let ctx = FileContext::from_ast(&rel, &lexed, &ast, fixture_mode);
-            let mut diags = run_token_rules(&lexed, &ctx, true);
-            diags.extend(run_ast_rules(&lexed, &ast, &ctx));
-            (Some(ast), ctx, diags)
-        } else {
-            let reason = ast
-                .errors
-                .first()
-                .cloned()
-                .unwrap_or_else(|| "incomplete token coverage".to_string());
-            report.parse_fallbacks.push(format!("{rel}: {reason}"));
-            let ctx = FileContext::new(&rel, &lexed, fixture_mode);
-            let diags = run_token_rules(&lexed, &ctx, false);
-            (None, ctx, diags)
-        };
-        analyses.push(FileAnalysis {
-            rel,
-            lexed,
-            ast,
-            ctx,
-            diags,
-        });
-        report.files_scanned += 1;
+        let ctx = FileContext::new(&rel, &lexed, fixture_mode);
+        let diags = run_file_rules(&lexed, &ctx);
+        analyses.push((lexed, ctx, diags));
     }
-    report.parsed_files = analyses.iter().filter(|a| a.ast.is_some()).count();
 
-    // Pass 2: cross-file UDM008 over every successfully parsed file.
-    let parsed: Vec<FileAst<'_>> = analyses
-        .iter()
-        .filter_map(|a| {
-            a.ast.as_ref().map(|ast| FileAst {
-                lexed: &a.lexed,
-                ast,
-                ctx: &a.ctx,
-            })
-        })
-        .collect();
-    let udm008 = udm008_fast_math_isolation(&parsed);
-    drop(parsed);
+    // Pass 2: cross-file UDM008.
+    let files: Vec<(&Lexed, &FileContext)> = analyses.iter().map(|(l, c, _)| (l, c)).collect();
+    let udm008 = udm008_fast_math_isolation(&files);
     for d in udm008 {
-        if let Some(a) = analyses.iter_mut().find(|a| a.rel == d.path) {
-            a.diags.push(d);
+        if let Some(a) = analyses.iter_mut().find(|a| a.1.rel_path == d.path) {
+            a.2.push(d);
         }
     }
 
-    // Pass 3: waivers, with unused tracking on both sources.
-    let mut used_toml: BTreeSet<usize> = BTreeSet::new();
-    for a in analyses {
-        for d in &a.diags {
+    // Pass 3: waivers, with unused tracking.
+    for (lexed, ctx, diags) in analyses {
+        for d in &diags {
             report.per_rule.entry(d.rule).or_insert((0, 0)).0 += 1;
         }
-        let inline = inline_waivers(&a.lexed);
-        let outcome = apply_waivers(a.diags, &inline, &toml);
+        let waivers = inline_waivers(&lexed);
+        let outcome = apply_waivers(diags, &waivers);
         report.waived += outcome.waived;
-        used_toml.extend(outcome.used_toml);
-        for (i, w) in inline.iter().enumerate() {
-            if !outcome.used_inline.contains(&i) {
-                let line = w.lines.iter().next().copied().unwrap_or(0);
-                report.unused_inline_waivers.push(format!(
+        for (i, w) in waivers.iter().enumerate() {
+            if !outcome.used.contains(&i) {
+                let line = w.lines.first().copied().unwrap_or(0);
+                report.unused_waivers.push(format!(
                     "{}:{line}: allow({})",
-                    a.rel,
+                    ctx.rel_path,
                     w.rules.join(", ")
                 ));
             }
@@ -193,131 +124,60 @@ pub fn check(root: &Path) -> Result<CheckReport, String> {
     }
 
     // Per-rule waived counts = hits minus surviving diagnostics.
-    let mut surviving: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for d in &report.diagnostics {
-        *surviving.entry(d.rule).or_insert(0) += 1;
-    }
     for (rule, counts) in report.per_rule.iter_mut() {
-        counts.1 = counts.0 - surviving.get(rule).copied().unwrap_or(0);
+        let surviving = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == *rule)
+            .count();
+        counts.1 = counts.0 - surviving;
     }
     report
         .diagnostics
         .sort_by(|a, b| a.path.cmp(&b.path).then(a.line.cmp(&b.line)));
-    report.unused_inline_waivers.sort();
-    report.unused_toml_waivers = toml
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !used_toml.contains(i))
-        .map(|(_, w)| {
-            format!(
-                "{}:{}{}",
-                w.rule,
-                w.path,
-                w.line.map(|l| format!(":{l}")).unwrap_or_default()
-            )
-        })
-        .collect();
+    report.unused_waivers.sort();
     Ok(report)
-}
-
-/// Robustness smoke: parse every `.rs` file under `root` (including
-/// roots the rule walk never sees, e.g. `vendor/`) and report per-file
-/// outcomes. Returns `(parsed_ok, fallbacks)`; any panic or I/O error
-/// is a hard failure of the calling command.
-pub fn parse_smoke(root: &Path) -> Result<(usize, Vec<String>), String> {
-    let mut stack = vec![root.to_path_buf()];
-    let mut files = Vec::new();
-    while let Some(dir) = stack.pop() {
-        let entries =
-            std::fs::read_dir(&dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("walking {}: {e}", dir.display()))?;
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if name != "target" && name != ".git" {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".rs") {
-                files.push(path);
-            }
-        }
-    }
-    files.sort();
-    let mut ok = 0usize;
-    let mut fallbacks = Vec::new();
-    for path in files {
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let lexed = lex(&src);
-        let ast = crate::parser::parse(&lexed);
-        if ast.errors.is_empty() && ast.covers_all_tokens() {
-            ok += 1;
-        } else {
-            let reason = ast
-                .errors
-                .first()
-                .cloned()
-                .unwrap_or_else(|| "incomplete token coverage".to_string());
-            fallbacks.push(format!("{}: {reason}", path.display()));
-        }
-    }
-    Ok((ok, fallbacks))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .unwrap()
+            .to_path_buf()
+    }
+
+    fn fixture_report() -> CheckReport {
+        check(&Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")).unwrap()
+    }
+
     #[test]
     fn workspace_detection() {
-        // The repo root two levels up from this crate is a workspace.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .to_path_buf();
+        let root = workspace_root();
         assert!(is_workspace_root(&root));
         assert!(!is_workspace_root(&root.join("crates/lint")));
     }
 
     #[test]
     fn fixture_corpus_trips_every_rule() {
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let report = check(&fixtures).unwrap();
-        let rules_hit: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
+        let report = fixture_report();
         for rule in ALL_RULES {
-            assert!(rules_hit.contains(rule), "fixture corpus missing {rule}");
+            assert!(
+                report.diagnostics.iter().any(|d| d.rule == rule),
+                "fixture corpus missing {rule}"
+            );
         }
         // The clean fixture contributes nothing.
         assert!(!report.diagnostics.iter().any(|d| d.path.contains("clean")));
     }
 
     #[test]
-    fn fixture_corpus_parses_without_fallback() {
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let report = check(&fixtures).unwrap();
-        assert_eq!(report.parse_fallbacks, Vec::<String>::new());
-        assert_eq!(report.parsed_files, report.files_scanned);
-    }
-
-    #[test]
     fn fixture_diagnostics_have_expected_lines() {
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let report = check(&fixtures).unwrap();
-        // udm001.rs marks its violations with `// line:` comments kept in
-        // sync with the fixture content.
-        let udm001: Vec<usize> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.rule == "UDM001" && d.path == "udm001.rs")
-            .map(|d| d.line)
-            .collect();
-        // Lines 20 and 24 are the quarantine-drain / checkpoint-restore
-        // shaped violations.
-        assert_eq!(udm001, vec![4, 9, 14, 20, 24], "{report:?}");
+        let report = fixture_report();
         let udm005: Vec<usize> = report
             .diagnostics
             .iter()
@@ -330,8 +190,7 @@ mod tests {
 
     #[test]
     fn inline_waiver_in_fixture_is_honoured() {
-        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-        let report = check(&fixtures).unwrap();
+        let report = fixture_report();
         assert!(report.waived >= 1);
         // The waived line in udm002.rs must not be reported.
         assert!(report
@@ -339,20 +198,32 @@ mod tests {
             .iter()
             .filter(|d| d.path == "udm002.rs")
             .all(|d| d.line != 10));
+        assert!(report.unused_waivers.is_empty(), "{report:?}");
     }
 
     #[test]
-    fn parse_smoke_handles_vendor_tree() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .join("vendor");
-        let (ok, fallbacks) = parse_smoke(&root).unwrap();
-        // The smoke contract is totality, not zero fallbacks: every
-        // file must come back as parsed or as a logged fallback.
-        assert!(ok + fallbacks.len() > 0);
-        assert!(ok > 0, "no vendor file parsed cleanly: {fallbacks:?}");
+    fn lexer_spans_reconstruct_every_workspace_file() {
+        let files = collect_rust_files(&workspace_root()).unwrap();
+        assert!(files.len() > 50, "workspace walk found too few files");
+        for path in files {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let lexed = lex(&src);
+            for t in &lexed.toks {
+                assert_eq!(
+                    &src[t.start..t.end],
+                    t.text,
+                    "span drift in {} at byte {}",
+                    path.display(),
+                    t.start
+                );
+            }
+            for c in &lexed.comments {
+                assert!(
+                    src.contains(&c.text),
+                    "comment text drift in {}",
+                    path.display()
+                );
+            }
+        }
     }
 }

@@ -1,71 +1,53 @@
 //! # udm-lint
 //!
-//! A custom static-analysis pass over the workspace's Rust sources,
-//! enforcing the numeric-safety, concurrency and determinism invariants
-//! the uncertain-data-mining crates rely on (see `DESIGN.md`, "Numeric
-//! invariants & static analysis"). Built on a self-contained lexer plus
-//! a hand-rolled recursive-descent parser ([`parser`]) — no external
-//! parser dependencies — so it runs in the offline build image. Files
-//! whose parse achieves zero errors and total token coverage get the
-//! scope-aware AST rules; anything else degrades to the lexer-only rule
-//! set and is *logged* in the report (`parse_fallbacks`), never
-//! silently skipped.
+//! A static check of the numeric and determinism invariants the
+//! uncertain-data-mining crates rely on that no compiler or clippy lint
+//! states (see `DESIGN.md`, "Numeric invariants & static analysis").
+//! It runs on a self-contained lexer ([`lexer`]) plus one scan for the
+//! code each `cfg` gate covers ([`context`]), so it needs no parser and
+//! no external dependency and builds in the offline image.
 //!
-//! Rules:
+//! Rules ([`rules`]):
 //!
-//! * **UDM001** — no `unwrap()`/`expect()`/`panic!`/`todo!`/
-//!   `unimplemented!` in non-test code of the library crates.
 //! * **UDM002** — no bare `==`/`!=` against float expressions outside
-//!   test modules; use `udm_core::num::approx_eq` (comparisons against
+//!   test code; use `udm_core::num::approx_eq` (comparisons against
 //!   `fract()` results are exempt — they are exact by construction).
 //! * **UDM003** — `sqrt` of variance-like expressions must route
-//!   through `udm_core::num::clamped_sqrt` (catastrophic cancellation
-//!   can drive the radicand negative).
-//! * **UDM004** — no lossy `as` casts in the hot-path kernel modules.
+//!   through `udm_core::num::clamped_sqrt` (Lemma 1's radicand can go
+//!   negative under catastrophic cancellation).
 //! * **UDM005** — public estimator entry points (`density*`,
-//!   `classify*`) must validate finite inputs or delegate to an entry
-//!   point that does (AST-scoped when a full parse is available).
-//! * **UDM006** — `udm_observe::span!` guards must be bound to a named
-//!   variable; `let _ = span!(..)` and bare `span!(..);` statements drop
-//!   the RAII guard immediately, so the span covers nothing.
-//! * **UDM007** — closures handed to the parallel seams
-//!   (`guarded_par_map`, `rayon::join`/`scope`, `par_iter` chains) must
-//!   not capture `RefCell`/`Cell` state or mutate captured bindings;
-//!   dataflow over the AST ([`scope`], [`astrules`]).
-//! * **UDM008** — items gated on the `fast-math` feature (and the
-//!   deliberately-ungated approximate roots like `fast_exp`) must stay
-//!   unreachable from default-build code; cross-file pass
-//!   ([`callgraph`]).
+//!   `classify*`, serve `handle_*density*`/`handle_*classify*`) that take
+//!   floats must validate finite inputs or delegate to an entry point
+//!   that does (Eq. 5 / Eq. 11).
+//! * **UDM008** — items gated on the `fast-math` feature, and the
+//!   deliberately ungated approximate root `fast_exp`, must stay
+//!   unreachable from default-build code; a cross-file pass.
 //! * **UDM009** — `OnceLock`/`OnceCell`/`Lazy` initialisers must be
 //!   deterministic: no RNG, clocks, thread ids, or unordered-map
 //!   iteration inside the init closure.
-//! * **UDM010** — every `unsafe` block needs an adjacent `// SAFETY:`
-//!   comment justifying its invariants.
 //!
-//! Waivers: inline `// udm-lint: allow(RULE) reason` comments (cover
-//! their own line and the next code line), or `lint.toml` entries
-//! `"RULE:path[:line]" = "reason"` under `[waivers]`. Unused waivers of
-//! both kinds are reported so the allowlist only ever shrinks.
+//! The rules that clippy or rustc already state live there instead:
+//! panics in library code (`clippy::unwrap_used` & co., denied in each
+//! library crate's `lib.rs`), lossy `as` casts on the hot path
+//! (`clippy::as_conversions`, denied per module), undocumented `unsafe`
+//! blocks (`clippy::undocumented_unsafe_blocks`, `[workspace.lints]`),
+//! discarded span guards (`udm_observe::span!` expands to a `let`
+//! statement), and shared mutable state at rayon seams (the `Sync` /
+//! `Send` bounds of the closures).
 //!
-//! Run with `cargo run -p udm-lint -- check [--root PATH] [--stats]
-//! [--format text|json|sarif] [--deny-fallback]
-//! [--deny-unused-waivers]`, `... parse --root PATH` (parser robustness
-//! smoke), or `... fix --rule UDM002|UDM010 [--apply]`.
+//! Waivers: inline `// udm-lint: allow(RULE) reason` comments cover
+//! their own line and the next code line. An unused waiver fails the
+//! check, so the allowlist only ever shrinks.
+//!
+//! Run with `cargo run -p udm-lint -- check [--root PATH]`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod ast;
-pub mod astrules;
-pub mod callgraph;
 pub mod context;
 pub mod engine;
-pub mod fix;
 pub mod lexer;
-pub mod output;
-pub mod parser;
 pub mod rules;
-pub mod scope;
 pub mod waivers;
 
 pub use engine::{check, CheckReport};

@@ -2,282 +2,80 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use udm_lint::fix::SUPPORTED_FIX_RULES;
 
 const USAGE: &str = "\
-udm-lint: workspace invariant linter (rules UDM001-UDM010)
+udm-lint: workspace invariant linter (rules UDM002, UDM003, UDM005, UDM008, UDM009)
 
 USAGE:
-  udm-lint check [--root PATH] [--stats] [--format text|json|sarif]
-                 [--deny-fallback] [--deny-unused-waivers]
-  udm-lint parse [--root PATH]
-  udm-lint fix --rule UDM002|UDM010 [--root PATH] [--apply]
+  udm-lint check [--root PATH]
   udm-lint help
 
-check exits 0 when no unwaived diagnostics remain, 1 otherwise.
-  --format json|sarif writes the machine-readable report to stdout
-    (diagnostics still gate the exit code).
-  --deny-fallback also fails when any file degraded to the lexer-only
-    rule path because its parse was incomplete.
-  --deny-unused-waivers also fails when an inline or lint.toml waiver
-    matched nothing (stale allows must be deleted).
-parse is a parser robustness smoke: parses every .rs file under the
-  root (including vendored code) and reports per-file fallbacks; exits
-  0 unless a file cannot be read.
-fix is a dry run unless --apply is given. UDM010 plans
-  `// SAFETY: TODO(justify)` stubs and is dry-run only.
+check prints every unwaived diagnostic, then per-rule hit/waiver
+statistics. It exits 0 when no unwaived diagnostic and no unused
+waiver remains, 1 otherwise, and 2 on a usage or I/O error.
 ";
-
-struct Args {
-    command: String,
-    root: PathBuf,
-    stats: bool,
-    apply: bool,
-    rule: Option<String>,
-    format: String,
-    deny_fallback: bool,
-    deny_unused_waivers: bool,
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        command: argv.first().cloned().unwrap_or_else(|| "help".into()),
-        root: PathBuf::from("."),
-        stats: false,
-        apply: false,
-        rule: None,
-        format: "text".into(),
-        deny_fallback: false,
-        deny_unused_waivers: false,
-    };
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--root" => {
-                i += 1;
-                args.root = PathBuf::from(
-                    argv.get(i)
-                        .ok_or_else(|| "--root needs a path".to_string())?,
-                );
-            }
-            "--stats" => args.stats = true,
-            "--apply" => args.apply = true,
-            "--deny-fallback" => args.deny_fallback = true,
-            "--deny-unused-waivers" => args.deny_unused_waivers = true,
-            "--format" => {
-                i += 1;
-                let f = argv
-                    .get(i)
-                    .ok_or_else(|| "--format needs text|json|sarif".to_string())?;
-                if !["text", "json", "sarif"].contains(&f.as_str()) {
-                    return Err(format!("--format must be text|json|sarif, got {f:?}"));
-                }
-                args.format = f.clone();
-            }
-            "--rule" => {
-                i += 1;
-                args.rule = Some(
-                    argv.get(i)
-                        .ok_or_else(|| "--rule needs a rule id".to_string())?
-                        .clone(),
-                );
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match args.command.as_str() {
-        "check" => run_check(&args),
-        "parse" => run_parse(&args),
-        "fix" => run_fix(&args),
-        "help" | "--help" | "-h" => {
+    match argv.first().map(String::as_str) {
+        Some("check") => match parse_root(&argv[1..]) {
+            Ok(root) => run_check(&root),
+            Err(e) => {
+                eprintln!("error: {e}\n\n{USAGE}");
+                ExitCode::from(2)
+            }
+        },
+        None | Some("help" | "--help" | "-h") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }
-        other => {
+        Some(other) => {
             eprintln!("error: unknown command {other:?}\n\n{USAGE}");
             ExitCode::from(2)
         }
     }
 }
 
-fn run_check(args: &Args) -> ExitCode {
-    let report = match udm_lint::check(&args.root) {
+fn parse_root(args: &[String]) -> Result<PathBuf, String> {
+    match args {
+        [] => Ok(PathBuf::from(".")),
+        [flag, path] if flag == "--root" => Ok(PathBuf::from(path)),
+        [flag] if flag == "--root" => Err("--root needs a path".into()),
+        [other, ..] => Err(format!("unknown argument {other:?}")),
+    }
+}
+
+fn run_check(root: &std::path::Path) -> ExitCode {
+    let report = match udm_lint::check(root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    match args.format.as_str() {
-        "json" => print!("{}", udm_lint::output::render_json(&report)),
-        "sarif" => print!("{}", udm_lint::output::render_sarif(&report)),
-        _ => {
-            for d in &report.diagnostics {
-                println!("{}:{}: {} {}", d.path, d.line, d.rule, d.message);
-            }
-            if args.stats {
-                println!("--- stats ---");
-                println!(
-                    "files scanned: {} ({} fully parsed, {} lexer fallback)",
-                    report.files_scanned,
-                    report.parsed_files,
-                    report.parse_fallbacks.len()
-                );
-                for (rule, (hits, waived)) in &report.per_rule {
-                    println!(
-                        "{rule}: {hits} hit(s), {waived} waived, {} reported",
-                        hits - waived
-                    );
-                }
-                println!("total waived: {}", report.waived);
-            }
-        }
+    for d in &report.diagnostics {
+        println!("{}:{}: {} {}", d.path, d.line, d.rule, d.message);
     }
-    // Health signals always go to stderr so they survive --format json.
-    for f in &report.parse_fallbacks {
-        eprintln!("udm-lint: parse fallback (lexer-only rules): {f}");
-    }
-    for w in &report.unused_inline_waivers {
-        eprintln!("udm-lint: unused inline waiver: {w}");
-    }
-    for w in &report.unused_toml_waivers {
-        eprintln!("udm-lint: unused lint.toml waiver: {w}");
-    }
-    let mut failed = false;
-    if !report.diagnostics.is_empty() {
-        eprintln!(
-            "udm-lint: {} unwaived diagnostic(s)",
-            report.diagnostics.len()
+    println!("--- stats ---");
+    println!("files scanned: {}", report.files_scanned);
+    for (rule, (hits, waived)) in &report.per_rule {
+        println!(
+            "{rule}: {hits} hit(s), {waived} waived, {} reported",
+            hits - waived
         );
-        failed = true;
     }
-    if args.deny_fallback && !report.parse_fallbacks.is_empty() {
-        eprintln!(
-            "udm-lint: {} file(s) degraded to lexer-only rules (--deny-fallback)",
-            report.parse_fallbacks.len()
-        );
-        failed = true;
+    println!("total waived: {}", report.waived);
+    for w in &report.unused_waivers {
+        eprintln!("udm-lint: unused waiver: {w}");
     }
-    if args.deny_unused_waivers
-        && (!report.unused_inline_waivers.is_empty() || !report.unused_toml_waivers.is_empty())
-    {
-        eprintln!(
-            "udm-lint: {} unused waiver(s) (--deny-unused-waivers)",
-            report.unused_inline_waivers.len() + report.unused_toml_waivers.len()
-        );
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        if args.format == "text" && !args.stats {
-            println!(
-                "udm-lint: clean ({} files, {} waived)",
-                report.files_scanned, report.waived
-            );
-        }
+    if report.diagnostics.is_empty() && report.unused_waivers.is_empty() {
         ExitCode::SUCCESS
-    }
-}
-
-fn run_parse(args: &Args) -> ExitCode {
-    match udm_lint::engine::parse_smoke(&args.root) {
-        Ok((ok, fallbacks)) => {
-            for f in &fallbacks {
-                println!("fallback: {f}");
-            }
-            println!(
-                "udm-lint parse: {} file(s) fully parsed, {} fallback(s)",
-                ok,
-                fallbacks.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run_fix(args: &Args) -> ExitCode {
-    let rule = match args.rule.as_deref() {
-        Some(r) if SUPPORTED_FIX_RULES.contains(&r) => r.to_string(),
-        Some(other) => {
-            eprintln!(
-                "error: fix does not support {other}; supported rules: {}",
-                SUPPORTED_FIX_RULES.join(", ")
-            );
-            return ExitCode::from(2);
-        }
-        None => {
-            eprintln!(
-                "error: fix requires --rule (supported: {})",
-                SUPPORTED_FIX_RULES.join(", ")
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let toml = match udm_lint::engine::load_lint_toml(&args.root) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let rewrites = match rule.as_str() {
-        "UDM002" => udm_lint::fix::fix_udm002(&args.root, args.apply, &toml),
-        _ => {
-            if args.apply {
-                eprintln!(
-                    "error: --apply is not supported for UDM010; the SAFETY \
-                     justification must be written by a human (stubs are shown dry-run)"
-                );
-                return ExitCode::from(2);
-            }
-            udm_lint::fix::fix_udm010(&args.root, &toml)
-        }
-    };
-    match rewrites {
-        Ok(rewrites) => {
-            for r in &rewrites {
-                if r.old.is_empty() {
-                    println!("{}:{}: insert `{}`", r.path, r.line, r.new.trim_end());
-                } else {
-                    println!("{}:{}: `{}` -> `{}`", r.path, r.line, r.old, r.new);
-                }
-            }
-            if args.apply {
-                println!("udm-lint: applied {} rewrite(s)", rewrites.len());
-            } else {
-                println!(
-                    "udm-lint: {} rewrite(s) planned (dry run{})",
-                    rewrites.len(),
-                    if rule == "UDM002" {
-                        "; pass --apply to write"
-                    } else {
-                        "; UDM010 stubs are never auto-applied"
-                    }
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
+    } else {
+        eprintln!(
+            "udm-lint: {} unwaived diagnostic(s), {} unused waiver(s)",
+            report.diagnostics.len(),
+            report.unused_waivers.len()
+        );
+        ExitCode::FAILURE
     }
 }

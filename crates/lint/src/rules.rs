@@ -1,30 +1,26 @@
-//! The UDM lint rules.
+//! The UDM lint rules: the numeric and determinism invariants of the
+//! paper's estimators that no compiler or clippy lint states.
 //!
 //! | id | rule |
 //! |---|---|
-//! | UDM001 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
 //! | UDM002 | no bare `==`/`!=` against float expressions outside test code |
 //! | UDM003 | `sqrt` of variance-like expressions must use `udm_core::num::clamped_sqrt` |
-//! | UDM004 | no lossy `as` casts in hot-path modules |
 //! | UDM005 | public estimator entry points must validate finite inputs |
-//! | UDM006 | `span!` guards must be bound to a named variable |
-//! | UDM007 | closures at parallel seams must not capture mutable shared state |
 //! | UDM008 | `fast-math`-gated items unreachable from default-feature code |
 //! | UDM009 | once-init closures must be deterministic |
-//! | UDM010 | every `unsafe` block needs an adjacent `// SAFETY:` comment |
 //!
-//! UDM001–UDM004, UDM006 and UDM010 are token rules (they also run on
-//! the lexer-only fallback path). UDM005, UDM007 and UDM009 live in
-//! [`crate::astrules`]; UDM008 is the cross-file pass in
-//! [`crate::callgraph`].
+//! All five decide on tokens plus the `cfg` regions of
+//! [`crate::context`]. UDM008 is the one cross-file pass
+//! ([`udm008_fast_math_isolation`]); the others run per file.
 
-use crate::context::FileContext;
+use crate::context::{group_close, is_closer, is_opener, FileContext, GATED_FEATURE};
 use crate::lexer::{Lexed, Tok, TokKind};
+use std::collections::BTreeSet;
 
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable rule id (`UDM001` … `UDM006`).
+    /// Stable rule id (one of [`ALL_RULES`]).
     pub rule: &'static str,
     /// Root-relative path of the offending file.
     pub path: String,
@@ -32,80 +28,20 @@ pub struct Diagnostic {
     pub line: usize,
     /// Human-readable explanation.
     pub message: String,
-    /// Byte offset of the anchoring token (for waiver/fix mapping).
-    pub offset: usize,
 }
 
 /// All rule ids, in order.
-pub const ALL_RULES: [&str; 10] = [
-    "UDM001", "UDM002", "UDM003", "UDM004", "UDM005", "UDM006", "UDM007", "UDM008", "UDM009",
-    "UDM010",
-];
+pub const ALL_RULES: [&str; 5] = ["UDM002", "UDM003", "UDM005", "UDM008", "UDM009"];
 
-/// One-line description per rule id (drives `--format json`/`sarif`).
-pub const RULE_INFO: [(&str, &str); 10] = [
-    (
-        "UDM001",
-        "no unwrap/expect/panic!/todo!/unimplemented! in non-test library code",
-    ),
-    (
-        "UDM002",
-        "no bare ==/!= against float expressions outside test code",
-    ),
-    (
-        "UDM003",
-        "sqrt of variance-like expressions must use udm_core::num::clamped_sqrt",
-    ),
-    ("UDM004", "no lossy `as` casts in hot-path modules"),
-    (
-        "UDM005",
-        "public estimator entry points must validate finite inputs",
-    ),
-    ("UDM006", "span! guards must be bound to a named variable"),
-    (
-        "UDM007",
-        "closures at parallel seams must not capture mutable or non-atomic shared state",
-    ),
-    (
-        "UDM008",
-        "fast-math-gated items must be unreachable from default-feature code",
-    ),
-    (
-        "UDM009",
-        "OnceLock/OnceCell/Lazy init closures must be deterministic",
-    ),
-    (
-        "UDM010",
-        "every unsafe block requires an adjacent // SAFETY: comment",
-    ),
-];
-
-/// Runs every *token* rule over one lexed file. With `ast_rules_active`
-/// the UDM005 token implementation is skipped (the scope-aware port in
-/// [`crate::astrules`] replaces it); on the lexer fallback path it runs
-/// here so the rule never goes dark.
-pub fn run_token_rules(
-    lexed: &Lexed,
-    ctx: &FileContext,
-    ast_rules_active: bool,
-) -> Vec<Diagnostic> {
+/// Runs every per-file rule over one lexed file.
+pub fn run_file_rules(lexed: &Lexed, ctx: &FileContext) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    udm001_no_panics(lexed, ctx, &mut out);
     udm002_float_eq(lexed, ctx, &mut out);
     udm003_variance_sqrt(lexed, ctx, &mut out);
-    udm004_lossy_casts(lexed, ctx, &mut out);
-    if !ast_rules_active {
-        udm005_entry_validation(lexed, ctx, &mut out);
-    }
-    udm006_span_binding(lexed, ctx, &mut out);
-    udm010_unsafe_safety_comment(lexed, ctx, &mut out);
+    udm005_entry_validation(lexed, ctx, &mut out);
+    udm009_once_init_determinism(lexed, ctx, &mut out);
     out.sort_by(|a, b| a.line.cmp(&b.line).then(a.rule.cmp(b.rule)));
     out
-}
-
-/// Runs every token rule (legacy entry point, UDM005 included).
-pub fn run_all(lexed: &Lexed, ctx: &FileContext) -> Vec<Diagnostic> {
-    run_token_rules(lexed, ctx, false)
 }
 
 fn diag(
@@ -120,48 +56,7 @@ fn diag(
         path: ctx.rel_path.clone(),
         line: tok.line,
         message,
-        offset: tok.start,
     });
-}
-
-/// UDM001: panicking constructs in non-test code of library crates.
-fn udm001_no_panics(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_library {
-        return;
-    }
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.start) {
-            continue;
-        }
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        let next = toks.get(i + 1);
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev_dot && next.is_some_and(|n| n.is_punct("(")) => {
-                diag(
-                    out,
-                    "UDM001",
-                    ctx,
-                    t,
-                    format!(
-                        ".{}() in non-test library code; return a typed Result \
-                         (or waive with an invariant comment)",
-                        t.text
-                    ),
-                );
-            }
-            "panic" | "todo" | "unimplemented" if next.is_some_and(|n| n.is_punct("!")) => {
-                diag(
-                    out,
-                    "UDM001",
-                    ctx,
-                    t,
-                    format!("{}! in non-test library code; return a typed error", t.text),
-                );
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Tokens that terminate an operand scan at depth 0.
@@ -371,59 +266,6 @@ fn udm003_variance_sqrt(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnost
     }
 }
 
-/// Numeric cast targets that can silently lose information from the
-/// workspace's `f64`/`u64`/`usize` quantities.
-fn is_lossy_cast_target(name: &str) -> bool {
-    matches!(
-        name,
-        "f64"
-            | "f32"
-            | "usize"
-            | "isize"
-            | "u64"
-            | "i64"
-            | "u32"
-            | "i32"
-            | "u16"
-            | "i16"
-            | "u8"
-            | "i8"
-    )
-}
-
-/// UDM004: `as` casts to numeric types in hot-path modules. `u64 as
-/// f64` silently rounds above 2^53; `f64 as usize` saturates — the
-/// hot paths must use the checked helpers in `udm_core::num`.
-fn udm004_lossy_casts(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_hot_path {
-        return;
-    }
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("as") || ctx.in_test(t.start) {
-            continue;
-        }
-        // `as` in a use statement (`use x as y`) has a non-type RHS; only
-        // numeric targets are flagged, which excludes those renames.
-        if let Some(next) = toks.get(i + 1) {
-            if next.kind == TokKind::Ident && is_lossy_cast_target(&next.text) {
-                diag(
-                    out,
-                    "UDM004",
-                    ctx,
-                    t,
-                    format!(
-                        "`as {}` cast in a hot-path module; use the checked \
-                         conversions in udm_core::num (f64_from_count, \
-                         f64_from_usize, usize::try_from)",
-                        next.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
 /// Guard identifiers that count as input validation for UDM005.
 const GUARD_IDENTS: [&str; 6] = [
     "ensure_finite_slice",
@@ -529,114 +371,298 @@ fn udm005_entry_validation(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagn
                      but neither validates finiteness (udm_core::num::ensure_finite_slice) \
                      nor delegates to a validating entry point"
                 ),
-                offset: name_tok.start,
             });
         }
         i = body_close + 1;
     }
 }
 
-/// UDM006: `span!` guards must be bound to a named variable. Both
-/// `let _ = span!(..)` and a bare `span!(..);` statement drop the RAII
-/// guard at once, closing the span before the work it was meant to
-/// cover has run — the profile then credits the phase ~zero time.
-fn udm006_span_binding(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    if !ctx.is_library {
-        return;
+// ---- UDM008 -------------------------------------------------------------
+
+/// Ungated approximate roots: compiled always (so benches can A/B them in
+/// one binary), callable only from gated or test code.
+pub const APPROX_ROOT_FNS: [&str; 1] = ["fast_exp"];
+
+/// Keywords that introduce a named item.
+const ITEM_KEYWORDS: [&str; 9] = [
+    "fn", "const", "static", "struct", "enum", "union", "trait", "type", "mod",
+];
+
+/// True when `toks[i]` is the name an item definition introduces
+/// (`fn name`, `const name`, `static mut name`, …).
+fn is_item_name(toks: &[Tok], i: usize) -> bool {
+    let t = &toks[i];
+    if t.kind != TokKind::Ident || ITEM_KEYWORDS.contains(&t.text.as_str()) || t.text == "mut" {
+        return false;
     }
+    let prev_is = |k: usize, kw: &[&str]| {
+        i >= k && toks[i - k].kind == TokKind::Ident && kw.contains(&toks[i - k].text.as_str())
+    };
+    prev_is(1, &ITEM_KEYWORDS) || (prev_is(1, &["mut"]) && prev_is(2, &["static"]))
+}
+
+/// UDM008: `fast-math` isolation, a cross-file pass.
+///
+/// The taint set is every item name defined inside `fast-math`-only
+/// code (outside test code), plus [`APPROX_ROOT_FNS`]. A mention of a
+/// tainted name from default-build, non-test code is the first edge by
+/// which an approximate value can reach an exact path; that edge is the
+/// finding. Imports (`use`) and the definitions themselves are not
+/// mentions. Reachability past the first unguarded edge is not
+/// re-reported: fixing or waiving the boundary covers its callers.
+pub fn udm008_fast_math_isolation(files: &[(&Lexed, &FileContext)]) -> Vec<Diagnostic> {
+    let mut tainted: BTreeSet<&str> = APPROX_ROOT_FNS.into_iter().collect();
+    for (lexed, ctx) in files {
+        for (i, t) in lexed.toks.iter().enumerate() {
+            if is_item_name(&lexed.toks, i) && ctx.in_fast_math(t.start) && !ctx.in_test(t.start) {
+                tainted.insert(t.text.as_str());
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (lexed, ctx) in files {
+        let toks = &lexed.toks;
+        let mut i = 0;
+        while i < toks.len() {
+            let t = &toks[i];
+            if t.is_ident("use") {
+                // Imports are not calls: skip the whole declaration.
+                i = (i..toks.len())
+                    .find(|&k| toks[k].is_punct(";"))
+                    .unwrap_or(toks.len());
+                continue;
+            }
+            if t.kind == TokKind::Ident
+                && tainted.contains(t.text.as_str())
+                && !is_item_name(toks, i)
+                && !ctx.in_fast_math(t.start)
+                && !ctx.in_test(t.start)
+            {
+                diag(
+                    &mut out,
+                    "UDM008",
+                    ctx,
+                    t,
+                    format!(
+                        "`{}` is fast-math-only but is referenced from default-build \
+                         code; gate the call site with #[cfg(feature = \"{GATED_FEATURE}\")] \
+                         or route through the feature-dispatching wrapper (hot_exp)",
+                        t.text
+                    ),
+                );
+            }
+            i += 1;
+        }
+    }
+    out.sort_by(|a, b| a.path.cmp(&b.path).then(a.line.cmp(&b.line)));
+    out
+}
+
+// ---- UDM009 -------------------------------------------------------------
+
+/// Identifiers that introduce nondeterminism when called inside a
+/// once-init closure.
+const NONDET_CALLS: [&str; 8] = [
+    "thread_rng",
+    "from_entropy",
+    "random",
+    "now",
+    "elapsed",
+    "timestamp",
+    "current",
+    "available_parallelism",
+];
+
+/// Path roots whose mention inside an init closure is nondeterministic.
+const NONDET_ROOTS: [&str; 4] = ["SystemTime", "Instant", "ThreadId", "rand"];
+
+/// Collection types whose iteration order is nondeterministic.
+const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+
+/// Iterator-producing methods whose order reflects the collection's.
+const ITER_METHODS: [&str; 7] = [
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+];
+
+/// UDM009: `OnceLock::get_or_init` / `OnceCell` / `Lazy::new` closures
+/// run once at a nondeterministic time on a nondeterministic thread, so
+/// their result must depend only on their inputs. RNG, clocks, thread
+/// ids and unordered-map iteration all make the cached value
+/// run-dependent, which breaks replayable checkpoints.
+///
+/// A site is the argument group of `.get_or_init(` / `.get_or_try_init(`
+/// / `Lazy::new(`; the closures passed directly in it are checked.
+fn udm009_once_init_determinism(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     let toks = &lexed.toks;
     for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("span")
-            || !toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
+        let is_method = (t.is_ident("get_or_init") || t.is_ident("get_or_try_init"))
+            && i > 0
+            && toks[i - 1].is_punct(".");
+        let is_lazy_new = t.is_ident("new")
+            && i >= 2
+            && toks[i - 1].is_punct("::")
+            && toks[i - 2].is_ident("Lazy");
+        if !(is_method || is_lazy_new)
+            || !toks.get(i + 1).is_some_and(|n| n.is_punct("("))
             || ctx.in_test(t.start)
         {
             continue;
         }
-        // Walk back over a `udm_observe::` / `$crate::` path prefix so the
-        // token before the whole macro path is inspected.
-        let mut j = i;
-        while j >= 2 && toks[j - 1].is_punct("::") && toks[j - 2].kind == TokKind::Ident {
-            j -= 2;
-        }
-        let discarded = if j == 0 {
-            // The macro call opens the file: statement position.
-            true
-        } else {
-            let prev = &toks[j - 1];
-            if prev.is_punct("=") {
-                // Wildcard binding `let _ = span!(..)` drops the guard;
-                // any named pattern (`let _fit = …`) keeps it alive.
-                j >= 3 && toks[j - 2].is_ident("_") && toks[j - 3].is_ident("let")
-            } else {
-                // Statement position: the guard temporary drops at the `;`.
-                prev.is_punct(";") || prev.is_punct("{") || prev.is_punct("}")
-            }
+        let Some(close) = group_close(toks, i + 1) else {
+            continue;
         };
-        if discarded {
+        let mut depth = 0usize;
+        for k in i + 1..close {
+            let tk = &toks[k];
+            if depth == 1 && is_closure_open(toks, k) {
+                check_init_closure(toks, k, close, ctx, out);
+            }
+            if is_opener(tk) {
+                depth += 1;
+            } else if is_closer(tk) {
+                depth = depth.saturating_sub(1);
+            }
+        }
+    }
+}
+
+/// True when `toks[k]` opens a closure's parameter list (`|` / `||`
+/// right after `(`, `,` or `move`).
+fn is_closure_open(toks: &[Tok], k: usize) -> bool {
+    (toks[k].is_punct("|") || toks[k].is_punct("||"))
+        && k > 0
+        && (toks[k - 1].is_punct("(") || toks[k - 1].is_punct(",") || toks[k - 1].is_ident("move"))
+}
+
+/// Scans one init closure, from its opening pipe to the `,` or `)` that
+/// ends it in the site's argument list (`site_close`).
+fn check_init_closure(
+    toks: &[Tok],
+    open: usize,
+    site_close: usize,
+    ctx: &FileContext,
+    out: &mut Vec<Diagnostic>,
+) {
+    // Skip the parameter list: `|a, b|` holds depth-0 commas.
+    let mut body = open + 1;
+    if toks[open].is_punct("|") {
+        while body < site_close && !toks[body].is_punct("|") {
+            body += 1;
+        }
+        body += 1;
+    }
+    let mut end = body;
+    let mut depth = 0usize;
+    while end < site_close {
+        let t = &toks[end];
+        if depth == 0 && t.is_punct(",") {
+            break;
+        }
+        if is_opener(t) {
+            depth += 1;
+        } else if is_closer(t) {
+            depth = depth.saturating_sub(1);
+        }
+        end += 1;
+    }
+    for i in open..end {
+        let t = &toks[i];
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let name = t.text.as_str();
+        let is_call = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
+        let flagged = (NONDET_CALLS.contains(&name) && is_call)
+            || NONDET_ROOTS.contains(&name)
+            || (name == "thread"
+                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
+                && toks.get(i + 2).is_some_and(|n| n.is_ident("current")));
+        if flagged {
             diag(
                 out,
-                "UDM006",
+                "UDM009",
                 ctx,
                 t,
-                "span! guard dropped immediately; bind it to a named variable \
-                 (`let _guard = span!(..);`) so the span covers its scope"
-                    .to_string(),
+                format!(
+                    "once-init closure calls `{name}` — RNG/clock/thread state \
+                     makes the cached value run-dependent; compute it from \
+                     explicit inputs (seed, config) instead"
+                ),
+            );
+            break;
+        }
+    }
+    for i in body..end {
+        let t = &toks[i];
+        let iterates = t.kind == TokKind::Ident
+            && !(i > 0 && (toks[i - 1].is_punct(".") || toks[i - 1].is_punct("::")))
+            && toks.get(i + 1).is_some_and(|n| n.is_punct("."))
+            && toks
+                .get(i + 2)
+                .is_some_and(|m| ITER_METHODS.contains(&m.text.as_str()));
+        if !iterates {
+            continue;
+        }
+        if let Some(ty) = declared_unordered_type(toks, &t.text, i) {
+            diag(
+                out,
+                "UDM009",
+                ctx,
+                t,
+                format!(
+                    "once-init closure iterates `{}` ({ty}) whose order is \
+                     nondeterministic; collect into a sorted Vec or use BTreeMap \
+                     before folding",
+                    t.text
+                ),
             );
         }
     }
 }
 
-/// UDM010: every `unsafe { .. }` block needs a `// SAFETY:` comment on
-/// the same line or in the contiguous comment run directly above it.
-/// `unsafe fn` / `unsafe impl` / `unsafe trait` declare an obligation
-/// rather than discharging one and are exempt; this is a token rule so
-/// it keeps working on the lexer fallback path.
-fn udm010_unsafe_safety_comment(lexed: &Lexed, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    let toks = &lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("unsafe") || ctx.in_test(t.start) {
-            continue;
-        }
-        // Only `unsafe {` blocks; `unsafe fn`/`impl`/`trait` are exempt.
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct("{")) {
-            continue;
-        }
-        if has_adjacent_safety_comment(lexed, t.line) {
-            continue;
-        }
-        diag(
-            out,
-            "UDM010",
-            ctx,
-            t,
-            "unsafe block without an adjacent `// SAFETY:` comment; justify \
-             why the invariants hold (or hoist the block behind a safe API)"
-                .to_string(),
-        );
-    }
+/// True when `toks[j]` declares a binding: `let [mut] name`, or a typed
+/// parameter `name:` in a `fn` or closure parameter list.
+fn is_binding_decl(toks: &[Tok], j: usize) -> bool {
+    let prev = |k: usize| j.checked_sub(k).map(|p| &toks[p]);
+    let after_let = prev(1).is_some_and(|p| p.is_ident("let"))
+        || (prev(1).is_some_and(|p| p.is_ident("mut"))
+            && prev(2).is_some_and(|p| p.is_ident("let")));
+    let typed_param = toks.get(j + 1).is_some_and(|n| n.is_punct(":"))
+        && prev(1).is_some_and(|p| {
+            p.is_punct("(") || p.is_punct(",") || p.is_punct("|") || p.is_ident("mut")
+        });
+    after_let || typed_param
 }
 
-/// True when a comment containing `SAFETY:` sits on `line` itself or in
-/// the unbroken run of comment lines directly above it.
-fn has_adjacent_safety_comment(lexed: &Lexed, line: usize) -> bool {
-    let has_safety_on = |l: usize| {
-        lexed
-            .comments
-            .iter()
-            .any(|c| c.line == l && c.text.contains("SAFETY:"))
-    };
-    let has_comment_on = |l: usize| lexed.comments.iter().any(|c| c.line == l);
-    if has_safety_on(line) {
-        return true;
-    }
-    let mut l = line;
-    while l > 1 && has_comment_on(l - 1) {
-        l -= 1;
-        if has_safety_on(l) {
-            return true;
+/// The unordered collection type named in the nearest declaration of
+/// `name` before token `before` (its type and initializer, up to the
+/// `;`, `,` or `)` that ends it). `None` when that declaration names
+/// neither type, or no declaration precedes the use.
+fn declared_unordered_type(toks: &[Tok], name: &str, before: usize) -> Option<&'static str> {
+    let decl = (0..before)
+        .rev()
+        .find(|&j| toks[j].is_ident(name) && is_binding_decl(toks, j))?;
+    let mut depth = 0usize;
+    for t in &toks[decl + 1..before] {
+        if depth == 0 && (t.is_punct(";") || t.is_punct(",") || is_closer(t)) {
+            break;
+        }
+        if let Some(ty) = UNORDERED_TYPES.iter().find(|ty| t.is_ident(ty)) {
+            return Some(ty);
+        }
+        if is_opener(t) {
+            depth += 1;
+        } else if is_closer(t) {
+            depth -= 1;
         }
     }
-    false
+    None
 }
 
 #[cfg(test)]
@@ -647,34 +673,23 @@ mod tests {
     fn lint(src: &str) -> Vec<Diagnostic> {
         let l = lex(src);
         let ctx = FileContext::new("fixture.rs", &l, true);
-        run_all(&l, &ctx)
+        run_file_rules(&l, &ctx)
     }
 
     fn rules_of(ds: &[Diagnostic]) -> Vec<&'static str> {
         ds.iter().map(|d| d.rule).collect()
     }
 
-    #[test]
-    fn udm001_catches_all_panicking_forms() {
-        let ds = lint(
-            "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"n\"); todo!(); unimplemented!(); }",
-        );
-        assert_eq!(ds.iter().filter(|d| d.rule == "UDM001").count(), 5);
-    }
-
-    #[test]
-    fn udm001_ignores_unwrap_or_variants() {
-        let ds =
-            lint("fn f() { x.unwrap_or(0.0); y.unwrap_or_else(|| 1); z.unwrap_or_default(); }");
-        assert!(!rules_of(&ds).contains(&"UDM001"));
-    }
-
-    #[test]
-    fn udm001_skips_test_modules() {
-        let src = "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/core/src/f.rs", &l, false);
-        assert!(run_all(&l, &ctx).is_empty());
+    /// Runs UDM008 over `(path, source)` files in fixture mode.
+    fn lint_files(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let lexed: Vec<Lexed> = sources.iter().map(|(_, src)| lex(src)).collect();
+        let ctxs: Vec<FileContext> = sources
+            .iter()
+            .zip(&lexed)
+            .map(|((path, _), l)| FileContext::new(path, l, true))
+            .collect();
+        let files: Vec<(&Lexed, &FileContext)> = lexed.iter().zip(&ctxs).collect();
+        udm008_fast_math_isolation(&files)
     }
 
     #[test]
@@ -696,6 +711,22 @@ mod tests {
         // The float literal is in a *different* clause.
         let ds = lint("fn f(n: usize, x: f64) -> bool { n == 0 && x < 1.5 }");
         assert!(!rules_of(&ds).contains(&"UDM002"));
+    }
+
+    #[test]
+    fn udm002_fract_zero_test_is_exempt() {
+        let ds = lint("fn f(x: f64) -> bool { x.fract() == 0.0 }");
+        assert!(!rules_of(&ds).contains(&"UDM002"));
+        let ds = lint("fn f(x: f64) -> bool { 0.0 != x.fract() }");
+        assert!(!rules_of(&ds).contains(&"UDM002"));
+    }
+
+    #[test]
+    fn udm002_skips_test_modules() {
+        let src = "#[cfg(test)]\nmod tests { fn t(x: f64) -> bool { x == 0.0 } }";
+        let l = lex(src);
+        let ctx = FileContext::new("crates/core/src/f.rs", &l, false);
+        assert!(run_file_rules(&l, &ctx).is_empty());
     }
 
     #[test]
@@ -722,24 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn udm004_flags_numeric_casts() {
-        let ds = lint("fn f(n: u64) -> f64 { n as f64 }");
-        assert!(rules_of(&ds).contains(&"UDM004"));
-        let ds = lint("fn f(x: f64) -> usize { x as usize }");
-        assert!(rules_of(&ds).contains(&"UDM004"));
-    }
-
-    #[test]
-    fn udm004_ignores_use_renames_and_non_hot_files() {
-        let ds = lint("use std::io::Result as IoResult;");
-        assert!(!rules_of(&ds).contains(&"UDM004"));
-        let src = "fn f(n: u64) -> f64 { n as f64 }";
-        let l = lex(src);
-        let ctx = FileContext::new("crates/kde/src/bandwidth.rs", &l, false);
-        assert!(!rules_of(&run_all(&l, &ctx)).contains(&"UDM004"));
-    }
-
-    #[test]
     fn udm005_flags_unvalidated_entry_point() {
         let src = "pub fn density(&self, x: &[f64]) -> f64 { self.sum(x) }";
         assert!(rules_of(&lint(src)).contains(&"UDM005"));
@@ -749,67 +762,144 @@ mod tests {
     fn udm005_accepts_guards_and_delegation() {
         for src in [
             "pub fn density(&self, x: &[f64]) -> f64 { ensure_finite_slice(\"q\", x)?; self.sum(x) }",
+            "pub fn density(&self, x: &[f64]) -> f64 { ensure_finite_slice(\"q\", x).unwrap_or(0.0); self.sum(x) }",
             "pub fn density(&self, x: &[f64]) -> f64 { self.density_subspace(x, s) }",
             "pub fn classify(&self, x: &UncertainPoint) -> L { self.log_scores(x) }",
             "pub fn density_meta(&self) -> usize { 3 }",
+            "fn density_private(x: &[f64]) -> f64 { x[0] }",
         ] {
             assert!(!rules_of(&lint(src)).contains(&"UDM005"), "{src}");
         }
     }
 
     #[test]
-    fn udm006_flags_discarded_span_guards() {
+    fn udm005_skips_test_gated_items() {
+        let src = "#[cfg(test)]\nmod t { pub fn density(x: &[f64]) -> f64 { x[0] } }";
+        assert!(!rules_of(&lint(src)).contains(&"UDM005"));
+    }
+
+    #[test]
+    fn udm009_flags_rng_time_and_unordered_iteration() {
         for src in [
-            "fn f() { let _ = udm_observe::span!(\"fit\"); work(); }",
-            "fn f() { let _ = span!(\"fit\"); work(); }",
-            "fn f() { udm_observe::span!(\"fit\"); work(); }",
-            "fn f() { work(); span!(\"fit\"); more(); }",
+            "fn f(c: &OnceLock<u64>) { c.get_or_init(|| thread_rng().next_u64()); }",
+            "fn f(c: &OnceLock<f64>) { c.get_or_init(|| Instant::now().elapsed().as_secs_f64()); }",
+            "static W: Lazy<f64> = Lazy::new(|| SystemTime::now().elapsed().unwrap().as_secs_f64());",
+            "fn f(c: &OnceLock<f64>) { let m: HashMap<u32, f64> = HashMap::new(); c.get_or_init(|| m.iter().map(|(_, v)| v).sum()); }",
+            "fn f(c: &OnceLock<f64>, m: &HashSet<u32>) { c.get_or_init(move || m.iter().count() as f64); }",
+            "fn f(c: &OnceLock<u64>) { c.get_or_try_init(|| Ok(std::thread::current().id().as_u64())); }",
         ] {
-            assert!(rules_of(&lint(src)).contains(&"UDM006"), "{src}");
+            assert!(rules_of(&lint(src)).contains(&"UDM009"), "{src}");
         }
     }
 
     #[test]
-    fn udm002_fract_zero_test_is_exempt() {
-        let ds = lint("fn f(x: f64) -> bool { x.fract() == 0.0 }");
-        assert!(!rules_of(&ds).contains(&"UDM002"));
-        let ds = lint("fn f(x: f64) -> bool { 0.0 != x.fract() }");
-        assert!(!rules_of(&ds).contains(&"UDM002"));
-    }
-
-    #[test]
-    fn udm010_flags_uncommented_unsafe_blocks() {
+    fn udm009_accepts_deterministic_init() {
         for src in [
-            "fn f(p: *mut f64) { unsafe { *p = 1.0; } }",
-            "fn f(p: *mut f64) {\n    // fast path\n    unsafe { *p = 1.0; }\n}",
+            "fn f(c: &OnceLock<Vec<f64>>, n: usize) { c.get_or_init(|| vec![0.0; n]); }",
+            "static T: Lazy<Vec<f64>> = Lazy::new(|| (0..256).map(|i| (i as f64).exp()).collect());",
+            "fn f(c: &OnceLock<f64>) { let m: BTreeMap<u32, f64> = BTreeMap::new(); c.get_or_init(|| m.iter().map(|(_, v)| v).sum()); }",
+            "fn f() { let x = now(); }",
+            // A function path, not a closure: nothing runs inside the site.
+            "fn f(c: &OnceLock<Instant>) { c.get_or_init(Instant::now); }",
+            // The nearest declaration wins: the HashMap binding is shadowed.
+            "fn f(c: &OnceLock<f64>) { let m: HashMap<u32, f64> = HashMap::new(); let m: Vec<f64> = vec![]; c.get_or_init(|| m.iter().sum()); }",
         ] {
-            assert!(rules_of(&lint(src)).contains(&"UDM010"), "{src}");
+            assert!(!rules_of(&lint(src)).contains(&"UDM009"), "{src}");
         }
     }
 
     #[test]
-    fn udm010_accepts_safety_comments_and_unsafe_items() {
-        for src in [
-            "fn f(p: *mut f64) {\n    // SAFETY: p is valid for writes per the caller contract.\n    unsafe { *p = 1.0; }\n}",
-            "fn f(p: *mut f64) { unsafe { *p = 1.0; } // SAFETY: caller contract\n}",
-            "fn f(p: *mut f64) {\n    // SAFETY: p valid,\n    // and aligned.\n    unsafe { *p = 1.0; }\n}",
-            "unsafe fn raw(p: *mut f64) {}",
-            "unsafe impl Send for S {}",
-        ] {
-            assert!(!rules_of(&lint(src)).contains(&"UDM010"), "{src}");
-        }
+    fn udm009_skips_test_code() {
+        let src = "#[cfg(test)]\nmod t { fn f(c: &OnceLock<u64>) { c.get_or_init(|| thread_rng().next_u64()); } }";
+        assert!(!rules_of(&lint(src)).contains(&"UDM009"));
     }
 
     #[test]
-    fn udm006_accepts_named_guards() {
-        for src in [
-            "fn f() { let _guard = udm_observe::span!(\"fit\"); work(); }",
-            "fn f() { let _span_fit = span!(\"fit\"); work(); }",
-            "fn f() { let g = span!(\"fit\"); work(); drop(g); }",
-            // Not the macro at all: a method or variable named span.
-            "fn f(span: usize) -> usize { span + 1 }",
-        ] {
-            assert!(!rules_of(&lint(src)).contains(&"UDM006"), "{src}");
-        }
+    fn udm008_ungated_mention_of_gated_fn_is_flagged() {
+        let ds = lint_files(&[(
+            "a.rs",
+            "#[cfg(feature = \"fast-math\")]\npub fn approx(x: f64) -> f64 { x }\npub fn caller(x: f64) -> f64 { approx(x) }",
+        )]);
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert_eq!(ds[0].rule, "UDM008");
+        assert_eq!(ds[0].line, 3);
+    }
+
+    #[test]
+    fn udm008_named_root_mention_is_flagged_cross_file() {
+        let ds = lint_files(&[
+            ("kde.rs", "pub fn fast_exp(x: f64) -> f64 { x }"),
+            (
+                "density.rs",
+                "pub fn build(x: f64) -> f64 { helper(x, fast_exp) }",
+            ),
+        ]);
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert_eq!(ds[0].path, "density.rs");
+    }
+
+    #[test]
+    fn udm008_gated_item_in_gated_module_taints_across_files() {
+        let ds = lint_files(&[
+            (
+                "fast.rs",
+                "#[cfg(feature = \"fast-math\")]\nmod approx {\n    pub static mut TABLE: [f64; 4] = [0.0; 4];\n    pub fn lookup(i: usize) -> f64 { i as f64 }\n}",
+            ),
+            ("user.rs", "pub fn f() -> f64 { lookup(1) }"),
+        ]);
+        let lines: Vec<(&str, usize)> = ds.iter().map(|d| (d.path.as_str(), d.line)).collect();
+        assert_eq!(lines, vec![("user.rs", 1)], "{ds:?}");
+    }
+
+    #[test]
+    fn udm008_gated_caller_is_clean() {
+        let ds = lint_files(&[(
+            "a.rs",
+            "#[cfg(feature = \"fast-math\")]\npub fn approx(x: f64) -> f64 { x }\n#[cfg(feature = \"fast-math\")]\npub fn caller(x: f64) -> f64 { approx(x) }",
+        )]);
+        assert!(ds.is_empty(), "{ds:?}");
+    }
+
+    #[test]
+    fn udm008_stmt_level_gate_is_clean() {
+        let ds = lint_files(&[(
+            "a.rs",
+            "pub fn hot(x: f64) -> f64 {\n  #[cfg(feature = \"fast-math\")]\n  { fast_exp(x) }\n  #[cfg(not(feature = \"fast-math\"))]\n  { x.exp() }\n}",
+        )]);
+        assert!(ds.is_empty(), "{ds:?}");
+    }
+
+    #[test]
+    fn udm008_negated_gate_does_not_cover() {
+        let ds = lint_files(&[(
+            "a.rs",
+            "pub fn hot(x: f64) -> f64 {\n  #[cfg(not(feature = \"fast-math\"))]\n  { fast_exp(x) }\n}",
+        )]);
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert_eq!(ds[0].line, 3);
+    }
+
+    #[test]
+    fn udm008_cfg_macro_test_in_statement_is_clean() {
+        let ds = lint_files(&[(
+            "a.rs",
+            "pub fn pick(x: f64) -> f64 { if cfg!(feature = \"fast-math\") { fast_exp(x) } else { x.exp() } }",
+        )]);
+        assert!(ds.is_empty(), "{ds:?}");
+    }
+
+    #[test]
+    fn udm008_use_statements_and_test_code_are_clean() {
+        let ds = lint_files(&[(
+            "a.rs",
+            "use udm_kde::fast_exp;\npub use udm_kde::{fast_exp as fe, hot_exp};\n#[cfg(test)]\nmod tests { fn t() { assert!(fast_exp(0.0) > 0.9); } }",
+        )]);
+        assert!(ds.is_empty(), "{ds:?}");
+    }
+
+    #[test]
+    fn udm008_definition_of_root_is_not_a_mention() {
+        let ds = lint_files(&[("kde.rs", "pub fn fast_exp(x: f64) -> f64 { x + 1.0 }")]);
+        assert!(ds.is_empty(), "{ds:?}");
     }
 }

@@ -1,10 +1,9 @@
-//! Waivers: inline `// udm-lint: allow(RULE) reason` comments and the
-//! repo-level `lint.toml` allowlist.
+//! Waivers: inline `// udm-lint: allow(RULE) reason` comments.
 //!
-//! An inline waiver covers its own line and the next line that carries
-//! code, so it can sit above the flagged statement (the common form) or
-//! trail it. `lint.toml` entries waive `RULE:path` (any line) or
-//! `RULE:path:line` (that line only) and must carry a reason string.
+//! A waiver covers its own line and the next line that carries code, so
+//! it can sit above the flagged statement (the common form) or trail it.
+//! It must state a reason; a waiver that matches no diagnostic fails the
+//! check, so the allowlist only ever shrinks.
 
 use crate::lexer::Lexed;
 use crate::rules::Diagnostic;
@@ -73,73 +72,6 @@ pub fn inline_waivers(lexed: &Lexed) -> Vec<InlineWaiver> {
     out
 }
 
-/// One `lint.toml` allowlist entry.
-#[derive(Debug, Clone)]
-pub struct TomlWaiver {
-    /// Rule id (`UDM001` …).
-    pub rule: String,
-    /// Root-relative path with forward slashes.
-    pub path: String,
-    /// Specific line, or `None` to waive the whole file for this rule.
-    pub line: Option<usize>,
-    /// The stated reason.
-    pub reason: String,
-}
-
-/// Parses the `[waivers]` section of `lint.toml`. This is a minimal
-/// hand-rolled reader for the subset the allowlist uses:
-/// `"RULE:path[:line]" = "reason"` lines under `[waivers]`.
-pub fn parse_lint_toml(text: &str) -> Result<Vec<TomlWaiver>, String> {
-    let mut out = Vec::new();
-    let mut in_waivers = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('[') {
-            in_waivers = line == "[waivers]";
-            continue;
-        }
-        if !in_waivers {
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("lint.toml:{}: expected `key = value`", idx + 1))?;
-        let key = unquote(key.trim())
-            .ok_or_else(|| format!("lint.toml:{}: key must be a quoted string", idx + 1))?;
-        let reason = unquote(value.trim())
-            .ok_or_else(|| format!("lint.toml:{}: reason must be a quoted string", idx + 1))?;
-        if reason.is_empty() {
-            return Err(format!("lint.toml:{}: waiver needs a reason", idx + 1));
-        }
-        let parts: Vec<&str> = key.split(':').collect();
-        if parts.len() < 2 || !parts[0].starts_with("UDM") {
-            return Err(format!(
-                "lint.toml:{}: key must be \"RULE:path[:line]\", got {key:?}",
-                idx + 1
-            ));
-        }
-        let (path_parts, line_no) = match parts.last().unwrap().parse::<usize>() {
-            Ok(n) if parts.len() > 2 => (&parts[1..parts.len() - 1], Some(n)),
-            _ => (&parts[1..], None),
-        };
-        out.push(TomlWaiver {
-            rule: parts[0].to_string(),
-            path: path_parts.join(":"),
-            line: line_no,
-            reason,
-        });
-    }
-    Ok(out)
-}
-
-fn unquote(s: &str) -> Option<String> {
-    let s = s.strip_prefix('"')?.strip_suffix('"')?;
-    Some(s.to_string())
-}
-
 /// Outcome of filtering diagnostics through the waivers.
 #[derive(Debug, Default)]
 pub struct WaiverOutcome {
@@ -147,40 +79,23 @@ pub struct WaiverOutcome {
     pub remaining: Vec<Diagnostic>,
     /// Count of diagnostics silenced by waivers.
     pub waived: usize,
-    /// Indices into the toml waiver list that matched something.
-    pub used_toml: BTreeSet<usize>,
-    /// Indices into the inline waiver list that matched something.
-    pub used_inline: BTreeSet<usize>,
+    /// Indices into the waiver list that matched something.
+    pub used: BTreeSet<usize>,
 }
 
-/// Filters `diags` for one file through its inline waivers and the
-/// repo-wide toml allowlist.
-pub fn apply_waivers(
-    diags: Vec<Diagnostic>,
-    inline: &[InlineWaiver],
-    toml: &[TomlWaiver],
-) -> WaiverOutcome {
+/// Filters one file's `diags` through its inline waivers.
+pub fn apply_waivers(diags: Vec<Diagnostic>, waivers: &[InlineWaiver]) -> WaiverOutcome {
     let mut out = WaiverOutcome::default();
     for d in diags {
-        let inline_hit = inline
+        let hit = waivers
             .iter()
             .position(|w| w.rules.iter().any(|r| r == d.rule) && w.lines.contains(&d.line));
-        let toml_hit = toml.iter().position(|w| {
-            w.rule == d.rule
-                && w.path == d.path
-                && match w.line {
-                    None => true,
-                    Some(l) => l == d.line,
-                }
-        });
-        if let Some(i) = inline_hit {
-            out.waived += 1;
-            out.used_inline.insert(i);
-        } else if let Some(i) = toml_hit {
-            out.waived += 1;
-            out.used_toml.insert(i);
-        } else {
-            out.remaining.push(d);
+        match hit {
+            Some(i) => {
+                out.waived += 1;
+                out.used.insert(i);
+            }
+            None => out.remaining.push(d),
         }
     }
     out
@@ -193,54 +108,26 @@ mod tests {
 
     #[test]
     fn inline_waiver_covers_next_code_line() {
-        let src = "fn f() {\n    // udm-lint: allow(UDM001) invariant: x is always Some here\n    x.unwrap();\n}";
+        let src = "fn f() {\n    // udm-lint: allow(UDM003) invariant: var is never negative here\n    var.sqrt();\n}";
         let l = lex(src);
         let ws = inline_waivers(&l);
         assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].rules, vec!["UDM001"]);
+        assert_eq!(ws[0].rules, vec!["UDM003"]);
         assert!(ws[0].lines.contains(&2) && ws[0].lines.contains(&3));
         assert!(ws[0].reason.contains("invariant"));
     }
 
     #[test]
     fn reasonless_waivers_are_ignored() {
-        let l = lex("// udm-lint: allow(UDM001)\nx.unwrap();");
+        let l = lex("// udm-lint: allow(UDM002)\nx == 0.0;");
         assert!(inline_waivers(&l).is_empty());
     }
 
     #[test]
     fn multi_rule_waiver() {
-        let l = lex("// udm-lint: allow(UDM001, UDM002) both are fine here\nlet y = 1;");
+        let l = lex("// udm-lint: allow(UDM002, UDM003) both are fine here\nlet y = 1;");
         let ws = inline_waivers(&l);
-        assert_eq!(ws[0].rules, vec!["UDM001", "UDM002"]);
-    }
-
-    #[test]
-    fn toml_parse_file_and_line_forms() {
-        let toml = r#"
-# comment
-[waivers]
-"UDM004:crates/kde/src/columns.rs" = "precomputed columns, inputs already validated"
-"UDM005:crates/kde/src/columns.rs:57" = "validated at construction"
-"#;
-        let ws = parse_lint_toml(toml).unwrap();
-        assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].line, None);
-        assert_eq!(ws[1].line, Some(57));
-        assert_eq!(ws[1].rule, "UDM005");
-    }
-
-    #[test]
-    fn toml_rejects_bad_keys_and_empty_reasons() {
-        assert!(parse_lint_toml("[waivers]\n\"nonsense\" = \"r\"\n").is_err());
-        assert!(parse_lint_toml("[waivers]\n\"UDM001:a.rs\" = \"\"\n").is_err());
-        assert!(parse_lint_toml("[waivers]\nUDM001 = \"r\"\n").is_err());
-    }
-
-    #[test]
-    fn other_sections_are_ignored() {
-        let ws = parse_lint_toml("[other]\n\"UDM001:a.rs\" = \"x\"\n").unwrap();
-        assert!(ws.is_empty());
+        assert_eq!(ws[0].rules, vec!["UDM002", "UDM003"]);
     }
 
     #[test]
@@ -250,28 +137,26 @@ mod tests {
             path: "crates/kde/src/x.rs".into(),
             line,
             message: String::new(),
-            offset: 0,
         };
-        let toml = vec![TomlWaiver {
-            rule: "UDM002".into(),
-            path: "crates/kde/src/x.rs".into(),
-            line: Some(9),
-            reason: "r".into(),
-        }];
-        let inline = vec![InlineWaiver {
-            rules: vec!["UDM001".into()],
-            lines: [4usize, 5].into_iter().collect(),
-            reason: "r".into(),
-        }];
+        let waivers = vec![
+            InlineWaiver {
+                rules: vec!["UDM002".into()],
+                lines: [4usize, 5].into_iter().collect(),
+                reason: "r".into(),
+            },
+            InlineWaiver {
+                rules: vec!["UDM003".into()],
+                lines: [8usize, 9].into_iter().collect(),
+                reason: "r".into(),
+            },
+        ];
         let out = apply_waivers(
-            vec![d("UDM001", 5), d("UDM002", 9), d("UDM002", 10)],
-            &inline,
-            &toml,
+            vec![d("UDM002", 5), d("UDM005", 5), d("UDM002", 10)],
+            &waivers,
         );
-        assert_eq!(out.waived, 2);
-        assert_eq!(out.remaining.len(), 1);
-        assert_eq!(out.remaining[0].line, 10);
-        assert!(out.used_toml.contains(&0));
-        assert!(out.used_inline.contains(&0));
+        assert_eq!(out.waived, 1);
+        let left: Vec<(&str, usize)> = out.remaining.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(left, vec![("UDM005", 5), ("UDM002", 10)]);
+        assert_eq!(out.used.into_iter().collect::<Vec<_>>(), vec![0]);
     }
 }

@@ -28,16 +28,23 @@
 //! `c_j` and variance `v_j`, a telescoping bound gives
 //!
 //! ```text
-//! sup |Π_j k_j − Π_j k'_j|  ≤  Σ_j D_j · Π_{l≠j} max(p_l, p'_l)
+//! sup |Π_j k_j − Π_j k'_j|  ≤  Σ_j D_j · Π_{l≠j} P_l,   P_l = max(p_l, p'_l, 1)
 //! D_j ≤ |p_j−p'_j| + p'_j·( |v_j−v'_j| / (e·min(v_j,v'_j))
 //!                          + |c_j−c'_j| · e^{−1/2} / √v'_j )
 //! ```
 //!
 //! using `sup_t |∂/∂v e^{−t²/2v}| ≤ 1/(e·v)` and
-//! `sup_t |d/dt e^{−t²/2v}| = e^{−1/2}/√v`. Merge costs accumulate by
-//! the triangle inequality, so the final [`CoresetKde::certified_error`]
-//! is a true `L∞` bound against the source mixture — the property the
-//! backend-equivalence proptest checks.
+//! `sup_t |d/dt e^{−t²/2v}| = e^{−1/2}/√v`. The telescoping bound
+//! itself only needs `max(p_l, p'_l)`; clamping each `P_l` at 1 makes
+//! it cover every subspace marginal too. A marginal on `S` drops the
+//! terms with `j ∉ S` and the factors with `l ∉ S`; every dropped term
+//! is `≥ 0` and every dropped factor is `≥ 1`, so the full-space sum
+//! bounds each marginal's. The peak bound in the budget is clamped the
+//! same way. Merge costs accumulate by the triangle inequality, so the
+//! final [`CoresetKde::certified_error`] is a true `L∞` bound against
+//! the source mixture and against each of its subspace marginals — the
+//! properties the backend-equivalence proptest and
+//! `subspace_marginals_stay_inside_the_certificate` check.
 
 use crate::density::MicroClusterKde;
 use crate::pseudo::PseudoPoint;
@@ -193,8 +200,10 @@ impl CoresetCache {
 
 // ---- Coreset -------------------------------------------------------------
 
-/// `Σ_i w_i · Π_j p_ij` — the un-normalized peak-density upper bound of
-/// the mixture (the kernel product is maximized at every diff = 0).
+/// `Σ_i w_i · Π_j max(p_ij, 1)` — an un-normalized peak-density upper
+/// bound of the mixture and of every subspace marginal of it (the kernel
+/// product is maximized at every diff = 0; the clamp keeps each factor a
+/// dropped dimension removes at `≥ 1`).
 /// `None` when any kernel degenerates to a point mass, which no
 /// finite-error reduction can bound.
 fn peak_sum_of(
@@ -207,7 +216,7 @@ fn peak_sum_of(
         let mut prod = f64_from_count(p.weight);
         for (&bw, &dl) in bandwidths.iter().zip(p.delta.iter()) {
             let (pref, _) = kernel.factors(bw, dl)?;
-            prod *= pref;
+            prod *= pref.max(1.0);
         }
         total += prod;
     }
@@ -242,7 +251,8 @@ fn merge_pseudo(a: &PseudoPoint, b: &PseudoPoint) -> PseudoPoint {
 }
 
 /// Certified `sup_x |K_p(x) − K_m(x)|` for two product-form Gaussian
-/// kernels (see the module-level derivation). Conservative but rigorous;
+/// kernels and for their marginals on every subspace (see the
+/// module-level derivation). Conservative but rigorous;
 /// `inf` (merge refused) when any variance degenerates.
 fn sup_kernel_diff(
     p: &PseudoPoint,
@@ -269,7 +279,7 @@ fn sup_kernel_diff(
         d[j] = (pp - mp).abs()
             + mp * ((pv - mv).abs() / (std::f64::consts::E * vmin)
                 + shift * (-0.5f64).exp() / clamped_sqrt(mv));
-        maxpeak[j] = pp.max(mp);
+        maxpeak[j] = pp.max(mp).max(1.0);
     }
     let mut total = 0.0;
     for (j, &dj) in d.iter().enumerate() {

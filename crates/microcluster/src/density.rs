@@ -23,6 +23,8 @@
 //! reference; the naive [`MicroClusterKde::density_subspace_with_error`]
 //! loop is the end-to-end oracle.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::feature::MicroCluster;
 use crate::pseudo::PseudoPoint;
 use std::sync::OnceLock;

@@ -231,7 +231,7 @@ impl MicroClusterMaintainer {
     /// broken by plain Euclidean distance, so clusters stay spatially
     /// coherent instead of piling tied points into the lowest index.
     // Tie detection needs the exact `d == best_d` below; a tolerance
-    // would merge near-ties and mis-group (see the udm-lint waiver).
+    // would merge near-ties and mis-group, hence the clippy allow.
     #[allow(clippy::float_cmp)]
     pub fn nearest(&self, point: &UncertainPoint) -> Option<usize> {
         let mut best = None;

@@ -37,7 +37,7 @@
 //! ```
 //! udm_observe::counter_add!("doc_kernel_evals_total", 128);
 //! {
-//!     let _span = udm_observe::span!("doc_phase");
+//!     udm_observe::span!("doc_phase");
 //!     udm_observe::histogram_observe!("doc_latency_seconds", 0.003);
 //! }
 //! let snap = udm_observe::Snapshot::capture();
@@ -131,16 +131,24 @@ macro_rules! histogram_observe {
     };
 }
 
-/// Opens a hierarchical timing span; returns a [`SpanGuard`] that records
-/// the span when dropped.
+/// Opens a hierarchical timing span that lasts to the end of the
+/// enclosing block.
 ///
-/// Bind the guard to a **named** variable (`let _guard = span!("x");`) so
-/// it lives to the end of the scope — `let _ = span!(...)` drops it
-/// immediately and times nothing (udm-lint rule UDM006 rejects that).
+/// The macro expands to the statement
+/// `let <guard> = $crate::SpanGuard::enter($name);` with a hygienic guard
+/// name, so it is written as a statement (`span!("fit");`). The guard
+/// lives to the end of its block, and spans opened in the same block
+/// close innermost first. Because the expansion is a `let` statement,
+/// the guard cannot be discarded early: an expression use such as
+/// `let _ = span!(..)` does not compile.
+///
+/// ```compile_fail
+/// let _ = udm_observe::span!("x");
+/// ```
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
-        $crate::SpanGuard::enter($name)
+        let _udm_observe_span_guard = $crate::SpanGuard::enter($name);
     };
 }
 
@@ -162,8 +170,9 @@ mod tests {
         crate::counter_add!("featureoff_counter_total", 3);
         crate::gauge_set!("featureoff_gauge", 1.5);
         crate::histogram_observe!("featureoff_hist", 0.1);
-        let _guard = crate::span!("featureoff_span");
-        drop(_guard);
+        {
+            crate::span!("featureoff_span");
+        }
         let snap = crate::Snapshot::capture();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());

@@ -314,6 +314,29 @@ mod tests {
     }
 
     #[test]
+    fn span_macro_guard_lasts_to_the_end_of_its_block() {
+        let _l = locked();
+        reset_profile();
+        {
+            crate::span!("macro_outer");
+            crate::span!("macro_same_block");
+            {
+                crate::span!("macro_inner");
+            }
+        }
+        let nodes = profile();
+        let paths: Vec<&str> = nodes.iter().map(|n| n.path.as_str()).collect();
+        // Both guards of the outer block are still open when the inner
+        // block runs, and the second one nests under the first.
+        assert!(paths.contains(&"macro_outer"), "{paths:?}");
+        assert!(paths.contains(&"macro_outer/macro_same_block"), "{paths:?}");
+        assert!(
+            paths.contains(&"macro_outer/macro_same_block/macro_inner"),
+            "{paths:?}"
+        );
+    }
+
+    #[test]
     fn repeated_spans_accumulate_calls() {
         let _l = locked();
         reset_profile();

@@ -13,7 +13,7 @@ fn runtime_disabled_macros_create_no_registry_entries() {
     udm_observe::gauge_set!("disabled_gauge", 3.5);
     udm_observe::histogram_observe!("disabled_hist", 0.25);
     {
-        let _span = udm_observe::span!("disabled_span");
+        udm_observe::span!("disabled_span");
     }
     let snapshot = udm_observe::Snapshot::capture();
     assert!(

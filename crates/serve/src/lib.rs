@@ -35,6 +35,16 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod batch;
 pub mod handlers;
