@@ -3,7 +3,9 @@
 //!
 //! Usage: `fig05_adult_clusters [n] [seed]` (defaults: 4000, 7).
 
-use udm_bench::{accuracy_sweep_clusters, render_table, write_results_file, ExperimentConfig};
+use udm_bench::{
+    accuracy_sweep_clusters, count_cell, render_table, write_results_file, ExperimentConfig,
+};
 use udm_data::UciDataset;
 
 fn main() {
@@ -24,7 +26,7 @@ fn main() {
             .iter()
             .map(|r| {
                 vec![
-                    format!("{}", r.x as usize),
+                    count_cell(r.x),
                     format!("{:.4}", r.adjusted),
                     format!("{:.4}", r.unadjusted),
                     format!("{:.4}", r.nn),

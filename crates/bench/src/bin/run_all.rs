@@ -6,8 +6,8 @@
 //! figure binaries' defaults.
 
 use udm_bench::{
-    accuracy_sweep_clusters, accuracy_sweep_error, render_table, testing_time, training_time,
-    write_results_file, ExperimentConfig,
+    accuracy_sweep_clusters, accuracy_sweep_error, count_cell, render_table, testing_time,
+    training_time, write_results_file, ExperimentConfig,
 };
 use udm_data::UciDataset;
 
@@ -26,7 +26,7 @@ fn accuracy_table(rows: &[udm_bench::AccuracyRow], x_name: &str, as_int: bool) -
             .map(|r| {
                 vec![
                     if as_int {
-                        format!("{}", r.x as usize)
+                        count_cell(r.x)
                     } else {
                         format!("{:.1}", r.x)
                     },

@@ -34,4 +34,4 @@ pub use experiment::{
     accuracy_sweep_clusters, accuracy_sweep_error, testing_time, training_time, AccuracyRow,
     ExperimentConfig, TimingRow,
 };
-pub use table::{quick_mode, render_table, write_results_file};
+pub use table::{count_cell, quick_mode, render_table, write_results_file};

@@ -3,6 +3,19 @@
 use std::path::{Path, PathBuf};
 use udm_core::Result;
 
+/// A table cell for a count kept on an `f64` axis (the `q` of the
+/// cluster sweeps): the whole number when `x` holds one exactly, else
+/// `x` as it is, never a silently truncated value.
+pub fn count_cell(x: f64) -> String {
+    // 2⁵³: every whole number up to it is exact in an f64.
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    if (0.0..=EXACT).contains(&x) && x.fract() == 0.0 {
+        format!("{x:.0}")
+    } else {
+        format!("{x}")
+    }
+}
+
 /// Renders a fixed-width text table: one header row plus data rows.
 ///
 /// Column widths adapt to the widest cell; numeric alignment is left to
@@ -64,6 +77,15 @@ fn write_into(dir: &Path, file_name: &str, content: &str) -> Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn count_cells_print_whole_numbers_and_keep_the_rest() {
+        assert_eq!(count_cell(140.0), "140");
+        assert_eq!(count_cell(0.0), "0");
+        assert_eq!(count_cell(2.5), "2.5");
+        assert_eq!(count_cell(-3.0), "-3");
+        assert_eq!(count_cell(1e300), format!("{}", 1e300));
+    }
 
     #[test]
     fn renders_aligned_columns() {

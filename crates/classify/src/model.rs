@@ -5,7 +5,7 @@ use crate::eval::Classifier;
 use crate::rollup::{rollup, AccuracyOracle, DiscriminativeSubspace, RollupLimits};
 use crate::subspace_select::select_non_overlapping;
 use rayon::prelude::*;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use udm_core::{ClassLabel, Result, Subspace, UdmError, UncertainDataset, UncertainPoint};
@@ -140,13 +140,108 @@ pub struct ClassificationOutcome {
     pub used_fallback: bool,
 }
 
-/// Kernel-column caches for one test point: one per KDE the accuracy
-/// ratio (Eq. 11) touches. Building them costs one full-dimensional
-/// density evaluation each; every subsequent subspace query is pure
-/// multiply-adds over the cached columns.
-struct ColumnSet {
-    global: KernelColumns,
-    per_class: Vec<KernelColumns>,
+thread_local! {
+    /// Each thread's prefix memo. An oracle borrows it for its query and
+    /// hands it back when dropped, so the buffers are allocated once per
+    /// thread, not once per query.
+    static PREFIX_MEMO: RefCell<PrefixMemo> = RefCell::new(PrefixMemo::default());
+}
+
+/// The per-row product vectors of the previous and the current roll-up
+/// level, for every mixture of one query.
+///
+/// [`KernelColumns`] multiplies a subspace's columns in ascending
+/// dimension order, so the product vector of `S` is the product vector
+/// of `S ∖ {max S}` times column `max S`, bit for bit. The roll-up
+/// evaluates each level in full, in ascending bitmask order, before the
+/// next, so a candidate's prefix is usually one binary search away in
+/// the previous level. A slot holds one subspace's vectors for all
+/// mixtures side by side; slot `i` belongs to key `i`.
+///
+/// A call out of that order (a skipped level, a repeated or descending
+/// subspace) only loses reuse: the vector is then built in full, and the
+/// keys never name a slot that was not completely written.
+#[derive(Debug, Default)]
+struct PrefixMemo {
+    /// Where each mixture's rows start inside a slot, then the slot width.
+    offsets: Vec<usize>,
+    /// Cardinality of the subspaces in `cur_keys`.
+    level: usize,
+    /// Ascending bits of the previous level's memoized subspaces.
+    prev_keys: Vec<u64>,
+    prev: Vec<f64>,
+    /// Ascending bits of the current level's memoized subspaces.
+    cur_keys: Vec<u64>,
+    cur: Vec<f64>,
+}
+
+impl PrefixMemo {
+    /// Forgets every memoized vector and lays the slots out for `columns`.
+    fn reset(&mut self, columns: &[KernelColumns]) {
+        self.offsets.clear();
+        self.offsets.push(0);
+        let mut end = 0;
+        for cols in columns {
+            end += cols.rows();
+            self.offsets.push(end);
+        }
+        self.level = 0;
+        self.prev_keys.clear();
+        self.cur_keys.clear();
+    }
+
+    /// Appends the density over `subspace` of every mixture in `columns`
+    /// (as laid out by the last [`Self::reset`]) to `out`, bit-identical
+    /// to [`KernelColumns::density`]. A non-finite cache keeps that
+    /// method's row-wise path.
+    fn densities(
+        &mut self,
+        columns: &[KernelColumns],
+        subspace: Subspace,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        let level = subspace.cardinality();
+        if level == self.level + 1 {
+            std::mem::swap(&mut self.prev_keys, &mut self.cur_keys);
+            std::mem::swap(&mut self.prev, &mut self.cur);
+            self.cur_keys.clear();
+        } else if level != self.level {
+            self.prev_keys.clear();
+            self.cur_keys.clear();
+        }
+        self.level = level;
+        let bits = subspace.bits();
+        // The next free slot; it is kept only if the keys stay ascending.
+        let width = self.offsets.last().copied().unwrap_or(0);
+        let slot = self.cur_keys.len() * width;
+        if self.cur.len() < slot + width {
+            self.cur.resize(slot + width, 0.0);
+        }
+        let top = subspace.dims().last();
+        let prefix = top.and_then(|top| {
+            let prefix_bits = bits & !(1u64 << top);
+            let found = self.prev_keys.binary_search(&prefix_bits).ok()?;
+            Some((found * width, top))
+        });
+        for (m, cols) in columns.iter().enumerate() {
+            if !cols.is_columnar() {
+                out.push(cols.density(subspace)?);
+                continue;
+            }
+            let (lo, hi) = (self.offsets[m], self.offsets[m + 1]);
+            let products = &mut self.cur[slot + lo..slot + hi];
+            out.push(match prefix {
+                Some((start, top)) => {
+                    cols.extend_products(&self.prev[start + lo..start + hi], top, products)?
+                }
+                None => cols.products_into(subspace, products)?,
+            });
+        }
+        if self.cur_keys.last().is_none_or(|&last| last < bits) {
+            self.cur_keys.push(bits);
+        }
+        Ok(())
+    }
 }
 
 struct KdeOracle<'a> {
@@ -162,9 +257,17 @@ struct KdeOracle<'a> {
     /// convolves every density with the query's error (`None` for the
     /// unadjusted baseline, which pretends all errors are zero).
     query_errors: Option<&'a [f64]>,
-    /// Lazily-built column caches, shared by every subspace the roll-up
-    /// enumerates for this query.
-    columns: OnceCell<ColumnSet>,
+    /// Lazily-built kernel-column caches, one per backend in the same
+    /// order, shared by every subspace the roll-up enumerates for this
+    /// query. Building them costs one full-dimensional density
+    /// evaluation each; every later subspace is multiply-adds over them.
+    columns: OnceCell<Vec<KernelColumns>>,
+    /// The previous roll-up level's product vectors, borrowed from this
+    /// thread's [`PREFIX_MEMO`] for the life of the oracle.
+    memo: RefCell<PrefixMemo>,
+    /// Evaluations that found the column caches built, published once
+    /// when the oracle drops rather than once per evaluation.
+    cache_hits: Cell<u64>,
 }
 
 impl KdeOracle<'_> {
@@ -174,19 +277,38 @@ impl KdeOracle<'_> {
     /// # Errors
     ///
     /// The build's validation error (wrong arity, non-finite input).
-    fn columns(&self) -> Result<&ColumnSet> {
-        if let Some(set) = self.columns.get() {
-            udm_observe::counter_inc!("udm_classify_column_cache_hits_total");
-            return Ok(set);
+    fn columns(&self) -> Result<&[KernelColumns]> {
+        if let Some(columns) = self.columns.get() {
+            self.cache_hits.set(self.cache_hits.get() + 1);
+            return Ok(columns);
         }
         udm_observe::counter_inc!("udm_classify_column_cache_misses_total");
-        let (global, per_class) = self.backends.split_first().ok_or(UdmError::EmptyDataset)?;
-        let build = |be: &DensityBackend<'_>| be.kernel_columns(self.query, self.query_errors);
-        let set = ColumnSet {
-            global: build(global)?,
-            per_class: per_class.iter().map(build).collect::<Result<_>>()?,
-        };
-        Ok(self.columns.get_or_init(|| set))
+        if self.backends.is_empty() {
+            return Err(UdmError::EmptyDataset);
+        }
+        let columns = self
+            .backends
+            .iter()
+            .map(|be| be.kernel_columns(self.query, self.query_errors))
+            .collect::<Result<Vec<_>>>()?;
+        self.memo.borrow_mut().reset(&columns);
+        Ok(self.columns.get_or_init(|| columns))
+    }
+}
+
+impl Drop for KdeOracle<'_> {
+    fn drop(&mut self) {
+        let hits = self.cache_hits.get();
+        if hits > 0 {
+            udm_observe::counter_add!("udm_classify_column_cache_hits_total", hits);
+        }
+        let memo = std::mem::take(self.memo.get_mut());
+        // A thread that is shutting down has no memo left to refill.
+        let _ = PREFIX_MEMO.try_with(|cell| {
+            if let Ok(mut slot) = cell.try_borrow_mut() {
+                *slot = memo;
+            }
+        });
     }
 }
 
@@ -195,22 +317,24 @@ impl AccuracyOracle for KdeOracle<'_> {
         &self.model.labels
     }
 
-    fn accuracies(&self, subspace: Subspace) -> Result<Vec<f64>> {
-        // Each cached density is bit-for-bit identical to the direct
+    fn accuracies(&self, subspace: Subspace, out: &mut Vec<f64>) -> Result<()> {
+        // Each density is bit-for-bit identical to the direct
         // per-subspace evaluation (the `KernelColumns` contract).
-        let set = self.columns()?;
-        let global = set.global.density(subspace)?;
-        let mut out = Vec::with_capacity(self.model.labels.len());
-        for (i, cols) in set.per_class.iter().enumerate() {
-            let class_density = cols.density(subspace)?;
-            let a = if global > 0.0 {
-                self.model.priors[i] * class_density / global
+        let columns = self.columns()?;
+        out.clear();
+        self.memo.borrow_mut().densities(columns, subspace, out)?;
+        // `out` holds the global density, then one per class: turn the
+        // class densities into accuracies and drop the global one.
+        let (&mut global, classes) = out.split_first_mut().ok_or(UdmError::EmptyDataset)?;
+        for (density, prior) in classes.iter_mut().zip(&self.model.priors) {
+            *density = if global > 0.0 {
+                prior * *density / global
             } else {
                 f64::NAN // numerically empty region: no evidence either way
             };
-            out.push(a);
         }
-        Ok(out)
+        out.remove(0);
+        Ok(())
     }
 }
 
@@ -427,6 +551,8 @@ impl DensityClassifier {
             query: x.values(),
             query_errors: self.query_errors_of(x),
             columns: OnceCell::new(),
+            memo: RefCell::new(PREFIX_MEMO.try_with(RefCell::take).unwrap_or_default()),
+            cache_hits: Cell::new(0),
         })
     }
 
@@ -444,7 +570,11 @@ impl DensityClassifier {
             .position(|&l| l == label)
             .ok_or(UdmError::UnknownLabel(label.id()))?;
         let oracle = self.oracle(&self.runtime.spec(), x)?;
-        Ok(oracle.accuracies(subspace)?[idx])
+        let mut accs = Vec::with_capacity(self.labels.len());
+        oracle.accuracies(subspace, &mut accs)?;
+        accs.get(idx)
+            .copied()
+            .ok_or(UdmError::UnknownLabel(label.id()))
     }
 
     /// Class scores for a point: the full-space local accuracies
@@ -466,7 +596,8 @@ impl DensityClassifier {
     /// kernel-column caches can be shared with a roll-up over the same
     /// query.
     fn scores_from(&self, oracle: &KdeOracle<'_>) -> Result<Vec<(ClassLabel, f64)>> {
-        let accs = oracle.accuracies(Subspace::full(self.dim)?)?;
+        let mut accs = Vec::with_capacity(self.labels.len());
+        oracle.accuracies(Subspace::full(self.dim)?, &mut accs)?;
         let total: f64 = accs.iter().filter(|a| a.is_finite()).sum();
         Ok(self
             .labels
@@ -855,6 +986,49 @@ mod tests {
     }
 
     #[test]
+    fn classify_scored_matches_golden_digest() {
+        // Pins every bit `classify_scored` reports on the served model
+        // shape (breast cancer, d=9, q=60, a=0.55): label, candidate
+        // count, each selected subspace with its label and accuracy bits,
+        // and the score bits. Any change to the roll-up's candidate order
+        // or to the density arithmetic moves this digest. The bounded-error
+        // exponential of `fast-math` changes densities, so it has its own.
+        use udm_core::fnv::{fnv1a, fnv1a_f64s, FNV_OFFSET};
+        use udm_data::UciDataset;
+        let train = ErrorModel::paper(1.0)
+            .apply(&UciDataset::BreastCancer.generate(2000, 31), 32)
+            .unwrap();
+        let test = ErrorModel::paper(1.0)
+            .apply(&UciDataset::BreastCancer.generate(500, 33), 34)
+            .unwrap();
+        let mut config = ClassifierConfig::error_adjusted(60);
+        config.accuracy_threshold = 0.55;
+        let model = DensityClassifier::fit(&train, config).unwrap();
+        let mut h = FNV_OFFSET;
+        for p in test.iter() {
+            let (outcome, scores) = model.classify_scored(p).unwrap();
+            h = fnv1a(h, &outcome.label.id().to_le_bytes());
+            h = fnv1a(h, &(outcome.candidates_evaluated as u64).to_le_bytes());
+            h = fnv1a(h, &[u8::from(outcome.used_fallback)]);
+            for s in &outcome.selected {
+                h = fnv1a(h, &s.subspace.bits().to_le_bytes());
+                h = fnv1a(h, &s.label.id().to_le_bytes());
+                h = fnv1a_f64s(h, &[s.accuracy]);
+            }
+            for (label, score) in &scores {
+                h = fnv1a(h, &label.id().to_le_bytes());
+                h = fnv1a_f64s(h, &[*score]);
+            }
+        }
+        let expected = if cfg!(feature = "fast-math") {
+            "ed73f7a830160aba"
+        } else {
+            "75eba3b37a92d2f8"
+        };
+        assert_eq!(format!("{h:016x}"), expected);
+    }
+
+    #[test]
     fn json_roundtrip_preserves_decisions() {
         let g = informative_mixture();
         let train = g.generate(300, 97);
@@ -968,6 +1142,123 @@ mod tests {
             .set_backend(BackendSpec::Coreset { eps: 0.2 })
             .unwrap();
         assert_eq!(serde_json::to_string(&model).unwrap(), before);
+    }
+
+    /// A small deterministic generator for the prefix-memo tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 11
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Finite kernel columns with exact zeros, subnormals and values over
+    /// nine decades, weighted or not.
+    fn random_columns(rng: &mut Lcg, dim: usize) -> KernelColumns {
+        let rows = 1 + rng.below(20);
+        let values = (0..rows * dim)
+            .map(|_| match rng.below(6) {
+                0 => 0.0,
+                1 => f64::from_bits(1 + rng.next() % (1 << 52)),
+                _ => rng.unit() * 10f64.powi(rng.below(9) as i32 - 4),
+            })
+            .collect();
+        let weights =
+            (rng.below(2) == 0).then(|| (0..rows).map(|_| 1.0 + rng.below(50) as f64).collect());
+        KernelColumns::new(dim, values, weights, 1.0 + rng.unit() * 100.0).unwrap()
+    }
+
+    /// Roll-up shaped calls: levels by ascending cardinality, each in
+    /// ascending bitmask order, keeping a random share of each level (so
+    /// some prefixes are never evaluated), skipping whole levels, and now
+    /// and then repeating an earlier subspace out of order.
+    fn apriori_sequence(rng: &mut Lcg, dim: usize) -> Vec<Subspace> {
+        let mut sequence: Vec<Subspace> = Vec::new();
+        for k in 1..=dim {
+            if rng.below(6) == 0 {
+                continue;
+            }
+            let share = rng.unit();
+            for bits in 1u64..(1 << dim) {
+                if bits.count_ones() as usize == k && rng.unit() < share {
+                    sequence.push(Subspace::from_bits(bits));
+                }
+            }
+            if rng.below(4) == 0 && !sequence.is_empty() {
+                sequence.push(sequence[rng.below(sequence.len())]);
+            }
+        }
+        sequence
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn memoized_densities_match_direct_ones_bitwise(
+            seed in 0u64..u64::MAX,
+            dim in 1usize..8,
+            mixtures in 1usize..4,
+        ) {
+            let mut rng = Lcg(seed);
+            // One memo across two queries, as a serving thread reuses it.
+            let mut memo = PrefixMemo::default();
+            let mut out = Vec::new();
+            for _query in 0..2 {
+                let columns: Vec<KernelColumns> =
+                    (0..mixtures).map(|_| random_columns(&mut rng, dim)).collect();
+                memo.reset(&columns);
+                for s in apriori_sequence(&mut rng, dim) {
+                    out.clear();
+                    memo.densities(&columns, s, &mut out).unwrap();
+                    proptest::prop_assert_eq!(out.len(), columns.len());
+                    for (got, cols) in out.iter().zip(&columns) {
+                        let want = cols.density(s).unwrap();
+                        proptest::prop_assert!(
+                            got.to_bits() == want.to_bits(),
+                            "{s}: memoized {got:e}, direct {want:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_memo_keeps_the_rowwise_path_for_non_finite_caches() {
+        // Row 0 of the second cache is 0 in dim 0 and ∞ in dim 1: the
+        // row-wise loop stops at the 0, where a columnar product would
+        // give 0·∞ = NaN.
+        let finite = KernelColumns::new(2, vec![0.5, 0.25, 1.0, 2.0], None, 2.0).unwrap();
+        let infinite =
+            KernelColumns::new(2, vec![0.0, f64::INFINITY, 1.0, 1.0], None, 2.0).unwrap();
+        assert!(finite.is_columnar());
+        assert!(!infinite.is_columnar());
+        let columns = [finite, infinite];
+        let mut memo = PrefixMemo::default();
+        memo.reset(&columns);
+        let mut out = Vec::new();
+        for bits in [0b01, 0b10, 0b11] {
+            let s = Subspace::from_bits(bits);
+            out.clear();
+            memo.densities(&columns, s, &mut out).unwrap();
+            for (got, cols) in out.iter().zip(&columns) {
+                assert_eq!(got.to_bits(), cols.density(s).unwrap().to_bits(), "{s}");
+            }
+        }
+        // {0,1} over the second cache: row 0 contributes 0, row 1 one.
+        assert_eq!(out[1], 0.5);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! (`C_{i+1} = L_i ⋈ L_1`). The join construction itself enforces the
 //! paper's roll-up requirement that an `(i+1)`-dimensional candidate has
 //! at least one qualifying `i`-dimensional subset.
+//!
+//! Candidates are visited in ascending bitmask order within a level (the
+//! order of [`Subspace`]'s `Ord`), which is also the order an oracle's
+//! prefix memo expects: every level is evaluated in full before the next.
 
 use crate::config::ClassifierConfig;
-use std::collections::BTreeSet;
 use udm_core::{ClassLabel, Result, Subspace};
 
 /// Supplies local accuracies `A(x, S, l_i)` for a fixed test point `x`.
@@ -19,8 +22,10 @@ pub trait AccuracyOracle {
     /// The class labels `l_1 … l_k`, in a stable order.
     fn labels(&self) -> &[ClassLabel];
 
-    /// `A(x, S, l)` for every label, aligned with [`Self::labels`].
-    fn accuracies(&self, subspace: Subspace) -> Result<Vec<f64>>;
+    /// Replaces the contents of `out` with `A(x, S, l)` for every label,
+    /// aligned with [`Self::labels`]. The caller owns `out` and reuses it
+    /// across subspaces, so an evaluation need not allocate.
+    fn accuracies(&self, subspace: Subspace, out: &mut Vec<f64>) -> Result<()>;
 }
 
 /// A subspace that cleared the threshold, with its dominant class.
@@ -39,7 +44,8 @@ pub struct DiscriminativeSubspace {
 pub struct RollupLimits {
     /// Stop after subspaces of this many dimensions.
     pub max_dim: Option<usize>,
-    /// Evaluate at most this many candidates per level.
+    /// Evaluate at most this many candidates per level: the first ones in
+    /// ascending bitmask order.
     pub max_candidates_per_level: Option<usize>,
 }
 
@@ -81,6 +87,41 @@ fn dominant(labels: &[ClassLabel], accs: &[f64]) -> Option<(ClassLabel, f64)> {
     best
 }
 
+/// `C_{i+1} = L_i ⋈ L_1` into `out`: ascending, without duplicates, and
+/// cut to the first `cap` candidates.
+///
+/// `level` is ascending (the roll-up keeps qualifiers in candidate
+/// order), so its joins with one singleton form an ascending run too.
+/// Each run is merged into `out` through `merged`, which costs fewer
+/// comparisons than sorting the `|L_i|·|L_1|` joins, most of them
+/// duplicates.
+fn join_level(
+    level: &[Subspace],
+    l1: &[Subspace],
+    cap: Option<usize>,
+    out: &mut Vec<Subspace>,
+    merged: &mut Vec<Subspace>,
+) {
+    debug_assert!(level.windows(2).all(|w| w[0] < w[1]));
+    out.clear();
+    for &one in l1 {
+        merged.clear();
+        let mut so_far = out.iter().copied().peekable();
+        for joined in level.iter().filter_map(|&s| s.join(one)) {
+            while let Some(earlier) = so_far.next_if(|&c| c < joined) {
+                merged.push(earlier);
+            }
+            so_far.next_if_eq(&joined);
+            merged.push(joined);
+        }
+        merged.extend(so_far);
+        std::mem::swap(out, merged);
+    }
+    if let Some(cap) = cap {
+        out.truncate(cap);
+    }
+}
+
 /// Runs the bottom-up roll-up of Fig. 3 for one test instance.
 ///
 /// `dimensionality` is the data dimensionality `d`; `threshold` is `a`.
@@ -90,8 +131,30 @@ pub fn rollup<O: AccuracyOracle>(
     threshold: f64,
     limits: RollupLimits,
 ) -> Result<RollupOutcome> {
+    let mut merged = Vec::new();
+    rollup_with(
+        oracle,
+        dimensionality,
+        threshold,
+        limits,
+        |level, l1, cap, out| {
+            join_level(level, l1, cap, out, &mut merged);
+        },
+    )
+}
+
+/// [`rollup`] over an explicit level join, so tests can run the roll-up
+/// over a reference join too.
+fn rollup_with<O: AccuracyOracle>(
+    oracle: &O,
+    dimensionality: usize,
+    threshold: f64,
+    limits: RollupLimits,
+    mut join: impl FnMut(&[Subspace], &[Subspace], Option<usize>, &mut Vec<Subspace>),
+) -> Result<RollupOutcome> {
     udm_observe::span!("rollup");
-    let labels = oracle.labels().to_vec();
+    let labels = oracle.labels();
+    let mut accs = Vec::with_capacity(labels.len());
     let mut qualifying: Vec<DiscriminativeSubspace> = Vec::new();
     let mut best_singleton: Option<DiscriminativeSubspace> = None;
     let mut candidates_evaluated = 0usize;
@@ -103,74 +166,31 @@ pub fn rollup<O: AccuracyOracle>(
     let mut pruned: u64 = 0;
 
     // Level 1: all singletons.
+    let mut candidates: Vec<Subspace> = Vec::new();
+    for dim in 0..dimensionality.min(Subspace::MAX_DIMS) {
+        candidates.push(Subspace::singleton(dim)?);
+    }
     let mut l1: Vec<Subspace> = Vec::new();
     let mut current_level: Vec<Subspace> = Vec::new();
-    for dim in 0..dimensionality.min(Subspace::MAX_DIMS) {
-        let s = Subspace::singleton(dim)?;
-        let accs = oracle.accuracies(s)?;
-        candidates_evaluated += 1;
-        let mut qualified = false;
-        if let Some((label, accuracy)) = dominant(&labels, &accs) {
-            let ds = DiscriminativeSubspace {
-                subspace: s,
-                accuracy,
-                label,
-            };
-            if best_singleton
-                .map(|b| accuracy > b.accuracy)
-                .unwrap_or(true)
-            {
-                best_singleton = Some(ds);
-            }
-            if accuracy > threshold {
-                qualifying.push(ds);
-                l1.push(s);
-                current_level.push(s);
-                qualified = true;
-            } else {
-                threshold_rejects += 1;
-            }
-        }
-        if !qualified {
-            pruned += 1;
-        }
-    }
-
-    // Levels 2..: C_{i+1} = L_i ⋈ L_1.
     let mut level_dim = 1usize;
-    while !current_level.is_empty() {
-        level_dim += 1;
-        if let Some(max) = limits.max_dim {
-            if level_dim > max {
-                break;
-            }
-        }
-        let mut candidates: BTreeSet<Subspace> = BTreeSet::new();
-        for &s in &current_level {
-            for &one in &l1 {
-                if let Some(joined) = s.join(one) {
-                    candidates.insert(joined);
-                }
-            }
-        }
-        let mut next_level = Vec::new();
-        for (idx, s) in candidates.into_iter().enumerate() {
-            if let Some(cap) = limits.max_candidates_per_level {
-                if idx >= cap {
-                    break;
-                }
-            }
-            let accs = oracle.accuracies(s)?;
+    loop {
+        current_level.clear();
+        for &s in &candidates {
+            oracle.accuracies(s, &mut accs)?;
             candidates_evaluated += 1;
             let mut qualified = false;
-            if let Some((label, accuracy)) = dominant(&labels, &accs) {
+            if let Some((label, accuracy)) = dominant(labels, &accs) {
+                let ds = DiscriminativeSubspace {
+                    subspace: s,
+                    accuracy,
+                    label,
+                };
+                if level_dim == 1 && best_singleton.is_none_or(|b| accuracy > b.accuracy) {
+                    best_singleton = Some(ds);
+                }
                 if accuracy > threshold {
-                    qualifying.push(DiscriminativeSubspace {
-                        subspace: s,
-                        accuracy,
-                        label,
-                    });
-                    next_level.push(s);
+                    qualifying.push(ds);
+                    current_level.push(s);
                     qualified = true;
                 } else {
                     threshold_rejects += 1;
@@ -180,7 +200,21 @@ pub fn rollup<O: AccuracyOracle>(
                 pruned += 1;
             }
         }
-        current_level = next_level;
+        if level_dim == 1 {
+            l1.clone_from(&current_level);
+        }
+
+        // Levels 2..: C_{i+1} = L_i ⋈ L_1.
+        level_dim += 1;
+        if current_level.is_empty() || limits.max_dim.is_some_and(|max| level_dim > max) {
+            break;
+        }
+        join(
+            &current_level,
+            &l1,
+            limits.max_candidates_per_level,
+            &mut candidates,
+        );
     }
 
     udm_observe::counter_add!(
@@ -203,7 +237,37 @@ pub fn rollup<O: AccuracyOracle>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::collections::HashMap;
+
+    /// Wraps an oracle and records every subspace handed to it, in order.
+    pub(super) struct Recording<O> {
+        inner: O,
+        seen: RefCell<Vec<Subspace>>,
+    }
+
+    impl<O> Recording<O> {
+        pub(super) fn new(inner: O) -> Self {
+            Recording {
+                inner,
+                seen: RefCell::new(Vec::new()),
+            }
+        }
+
+        pub(super) fn seen_bits(&self) -> Vec<u64> {
+            self.seen.borrow().iter().map(|s| s.bits()).collect()
+        }
+    }
+
+    impl<O: AccuracyOracle> AccuracyOracle for Recording<O> {
+        fn labels(&self) -> &[ClassLabel] {
+            self.inner.labels()
+        }
+        fn accuracies(&self, s: Subspace, out: &mut Vec<f64>) -> Result<()> {
+            self.seen.borrow_mut().push(s);
+            self.inner.accuracies(s, out)
+        }
+    }
 
     /// Table-driven oracle: accuracy of label 0 per subspace; label 1 gets
     /// the complement.
@@ -217,9 +281,11 @@ mod tests {
         fn labels(&self) -> &[ClassLabel] {
             &self.labels
         }
-        fn accuracies(&self, s: Subspace) -> Result<Vec<f64>> {
+        fn accuracies(&self, s: Subspace, out: &mut Vec<f64>) -> Result<()> {
             let a = *self.table.get(&s.bits()).unwrap_or(&self.default);
-            Ok(vec![a, 1.0 - a])
+            out.clear();
+            out.extend([a, 1.0 - a]);
+            Ok(())
         }
     }
 
@@ -318,7 +384,7 @@ mod tests {
 
     #[test]
     fn candidate_cap_bounds_work_per_level() {
-        let o = oracle(&[], 0.95);
+        let o = Recording::new(oracle(&[], 0.95));
         let out = rollup(
             &o,
             6,
@@ -329,8 +395,19 @@ mod tests {
             },
         )
         .unwrap();
-        // 6 singletons evaluated, then ≤3 per level
-        assert!(out.candidates_evaluated < 63);
+        // All 6 singletons, then the first 3 joins of each level in
+        // ascending bitmask order: {0,1} {0,2} {1,2}, then {0,1,2}
+        // {0,1,3} {0,2,3}, and so on up to the full space.
+        let expected: [u64; 19] = [
+            0b1, 0b10, 0b100, 0b1000, 0b1_0000, 0b10_0000, // level 1
+            0b11, 0b101, 0b110, // level 2
+            0b111, 0b1011, 0b1101, // level 3
+            0b1111, 0b1_0111, 0b1_1011, // level 4
+            0b1_1111, 0b10_1111, 0b11_0111, // level 5
+            0b11_1111, // level 6
+        ];
+        assert_eq!(o.seen_bits(), expected);
+        assert_eq!(out.candidates_evaluated, expected.len());
     }
 
     #[test]
@@ -363,12 +440,14 @@ mod tests {
             fn labels(&self) -> &[ClassLabel] {
                 &self.labels
             }
-            fn accuracies(&self, s: Subspace) -> Result<Vec<f64>> {
+            fn accuracies(&self, s: Subspace, out: &mut Vec<f64>) -> Result<()> {
                 let a = s
                     .dims()
                     .map(|d| self.base[d])
                     .fold(f64::NEG_INFINITY, f64::max);
-                Ok(vec![a])
+                out.clear();
+                out.extend([a]);
+                Ok(())
             }
         }
         let base = vec![0.9, 0.3, 0.85, 0.1, 0.95];
@@ -394,8 +473,10 @@ mod tests {
             fn labels(&self) -> &[ClassLabel] {
                 &self.labels
             }
-            fn accuracies(&self, _: Subspace) -> Result<Vec<f64>> {
-                Ok(vec![f64::NAN, 0.9])
+            fn accuracies(&self, _: Subspace, out: &mut Vec<f64>) -> Result<()> {
+                out.clear();
+                out.extend([f64::NAN, 0.9]);
+                Ok(())
             }
         }
         let o = NanOracle {
@@ -409,40 +490,86 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::Recording;
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeSet;
 
     struct RandomOracle {
         labels: Vec<ClassLabel>,
-        table: HashMap<u64, f64>,
+        /// Varies the accuracies between oracles.
+        salt: u64,
+    }
+
+    impl RandomOracle {
+        fn new(salt: u64) -> Self {
+            RandomOracle {
+                labels: vec![ClassLabel(0), ClassLabel(1)],
+                salt,
+            }
+        }
     }
 
     impl AccuracyOracle for RandomOracle {
         fn labels(&self) -> &[ClassLabel] {
             &self.labels
         }
-        fn accuracies(&self, s: Subspace) -> Result<Vec<f64>> {
+        fn accuracies(&self, s: Subspace, out: &mut Vec<f64>) -> Result<()> {
             // Deterministic pseudo-random accuracy per subspace.
-            let cached = self.table.get(&s.bits()).copied();
-            let a = cached.unwrap_or_else(|| {
-                let mut z = s.bits().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z ^= z >> 29;
-                (z % 1000) as f64 / 1000.0
-            });
-            Ok(vec![a, 1.0 - a])
+            let mut z = (s.bits() ^ self.salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z ^= z >> 29;
+            let a = (z % 1000) as f64 / 1000.0;
+            out.clear();
+            out.extend([a, 1.0 - a]);
+            Ok(())
         }
+    }
+
+    /// A `BTreeSet` join: the reference whose candidate order and cap
+    /// `join_level` must reproduce.
+    fn btree_join(
+        level: &[Subspace],
+        l1: &[Subspace],
+        cap: Option<usize>,
+        out: &mut Vec<Subspace>,
+    ) {
+        let mut candidates: BTreeSet<Subspace> = BTreeSet::new();
+        for &s in level {
+            for &one in l1 {
+                if let Some(joined) = s.join(one) {
+                    candidates.insert(joined);
+                }
+            }
+        }
+        out.clear();
+        out.extend(candidates.into_iter().take(cap.unwrap_or(usize::MAX)));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
+        fn merged_join_matches_the_btree_reference(
+            dims in 1usize..11,
+            threshold in 0.5f64..0.95,
+            salt in 0u64..u64::MAX,
+            cap in option::of(1usize..7),
+        ) {
+            let limits = RollupLimits { max_dim: None, max_candidates_per_level: cap };
+            let fast = Recording::new(RandomOracle::new(salt));
+            let reference = Recording::new(RandomOracle::new(salt));
+            let got = rollup(&fast, dims, threshold, limits).unwrap();
+            let want = rollup_with(&reference, dims, threshold, limits, btree_join).unwrap();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(fast.seen_bits(), reference.seen_bits());
+        }
+
+        #[test]
         fn every_qualifying_subspace_clears_the_threshold(
             dims in 1usize..8,
             thr in 0.5f64..0.95,
         ) {
-            let o = RandomOracle { labels: vec![ClassLabel(0), ClassLabel(1)], table: HashMap::new() };
+            let o = RandomOracle::new(0);
             let out = rollup(&o, dims, thr, RollupLimits::default()).unwrap();
             for q in &out.qualifying {
                 prop_assert!(q.accuracy > thr);
@@ -465,7 +592,7 @@ mod proptests {
             // Every qualifying subspace with |S| ≥ 2 must contain at least
             // one qualifying (|S|−1)-subset — the roll-up's construction
             // invariant.
-            let o = RandomOracle { labels: vec![ClassLabel(0), ClassLabel(1)], table: HashMap::new() };
+            let o = RandomOracle::new(0);
             let out = rollup(&o, dims, thr, RollupLimits::default()).unwrap();
             let qualifying: std::collections::HashSet<u64> =
                 out.qualifying.iter().map(|q| q.subspace.bits()).collect();

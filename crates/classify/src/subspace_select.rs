@@ -5,32 +5,42 @@
 //! optional cap `p` is reached.
 
 use crate::rollup::DiscriminativeSubspace;
+use std::cmp::Ordering;
+
+/// Selection order: higher accuracy first, then the smaller subspace,
+/// then the subspace's canonical (bitmask) order.
+fn precedence(a: &DiscriminativeSubspace, b: &DiscriminativeSubspace) -> Ordering {
+    b.accuracy
+        .partial_cmp(&a.accuracy)
+        .unwrap_or(Ordering::Equal)
+        .then(a.subspace.cardinality().cmp(&b.subspace.cardinality()))
+        .then(a.subspace.cmp(&b.subspace))
+}
 
 /// Selects non-overlapping subspaces in descending accuracy order.
 ///
 /// Ties on accuracy are broken by smaller subspace first, then by the
 /// subspace's canonical (bitmask) order, so selection is deterministic.
+///
+/// Each round takes the first remaining set in that order and drops every
+/// set it overlaps, as Fig. 3 states it. The rounds are at most one per
+/// dimension, so this is a few linear scans rather than a sort of all of
+/// `L`.
 pub fn select_non_overlapping(
-    mut qualifying: Vec<DiscriminativeSubspace>,
+    qualifying: Vec<DiscriminativeSubspace>,
     max_selected: Option<usize>,
 ) -> Vec<DiscriminativeSubspace> {
-    qualifying.sort_by(|a, b| {
-        b.accuracy
-            .partial_cmp(&a.accuracy)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.subspace.cardinality().cmp(&b.subspace.cardinality()))
-            .then(a.subspace.cmp(&b.subspace))
-    });
+    let mut remaining = qualifying;
     let mut selected: Vec<DiscriminativeSubspace> = Vec::new();
-    for cand in qualifying {
-        if let Some(p) = max_selected {
-            if selected.len() >= p {
-                break;
-            }
-        }
-        if selected.iter().all(|s| !s.subspace.overlaps(cand.subspace)) {
-            selected.push(cand);
-        }
+    while max_selected.is_none_or(|p| selected.len() < p) {
+        let Some(first) =
+            (0..remaining.len()).min_by(|&i, &j| precedence(&remaining[i], &remaining[j]))
+        else {
+            break;
+        };
+        let best = remaining.swap_remove(first);
+        remaining.retain(|c| !c.subspace.overlaps(best.subspace));
+        selected.push(best);
     }
     selected
 }
@@ -38,6 +48,7 @@ pub fn select_non_overlapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use udm_core::{ClassLabel, Subspace};
 
     fn ds(dims: &[usize], acc: f64, label: u32) -> DiscriminativeSubspace {
@@ -101,6 +112,54 @@ mod tests {
             select_non_overlapping(a, None),
             select_non_overlapping(b, None)
         );
+    }
+
+    /// The selection as a stable sort by precedence, then one scan: the
+    /// reference the round-by-round selection must reproduce.
+    fn sorted_scan(
+        mut qualifying: Vec<DiscriminativeSubspace>,
+        max_selected: Option<usize>,
+    ) -> Vec<DiscriminativeSubspace> {
+        qualifying.sort_by(precedence);
+        let mut selected: Vec<DiscriminativeSubspace> = Vec::new();
+        for cand in qualifying {
+            if max_selected.is_some_and(|p| selected.len() >= p) {
+                break;
+            }
+            if selected.iter().all(|s| !s.subspace.overlaps(cand.subspace)) {
+                selected.push(cand);
+            }
+        }
+        selected
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rounds_match_the_sorted_scan(
+            masks in collection::vec(1u64..1024, 0..40),
+            levels in collection::vec(0usize..4, 40),
+            cap in option::of(0usize..5),
+        ) {
+            // Distinct subspaces, as the roll-up yields them, with a few
+            // accuracy levels so ties are common.
+            let mut seen = std::collections::BTreeSet::new();
+            let qualifying: Vec<DiscriminativeSubspace> = masks
+                .iter()
+                .zip(&levels)
+                .filter(|(&m, _)| seen.insert(m))
+                .map(|(&m, &level)| DiscriminativeSubspace {
+                    subspace: Subspace::from_bits(m),
+                    accuracy: 0.6 + 0.1 * level as f64,
+                    label: ClassLabel((m % 3) as u32),
+                })
+                .collect();
+            prop_assert_eq!(
+                select_non_overlapping(qualifying.clone(), cap),
+                sorted_scan(qualifying, cap)
+            );
+        }
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! The columnar layout in [`crate::columns`] turns subspace density
 //! evaluation into three primitive loops over contiguous `f64` slices:
 //! seeding a per-row product accumulator, multiplying one dimension's
-//! kernel column into it, and a final ordered sum. The multiply loops
-//! are written with fixed-width `chunks_exact` bodies so the
-//! autovectorizer can lift them to SIMD (the 4/8-wide bodies have no
-//! bounds checks, no cross-iteration dependence, and a single
-//! load-multiply-store per lane); the final sum is deliberately a
-//! plain sequential loop because its evaluation *order* is part of the
-//! bit-for-bit contract with the scalar reference path.
+//! kernel column into it, and a final ordered sum
+//! ([`mul_into_ordered_sum`] fuses the last two for a vector extended by
+//! one column). The multiply loops are written with fixed-width
+//! `chunks_exact` bodies so the autovectorizer can lift them to SIMD
+//! (the 4/8-wide bodies have no bounds checks, no cross-iteration
+//! dependence, and a single load-multiply-store per lane); the final
+//! sum is deliberately a plain sequential loop because its evaluation
+//! *order* is part of the bit-for-bit contract with the scalar
+//! reference path.
 //!
 //! [`gaussian_kernel_row`] is the column *build* counterpart: one
 //! dimension's kernel evaluations for every row, from precomputed
@@ -103,6 +105,21 @@ pub fn ordered_sum(xs: &[f64]) -> f64 {
     sum
 }
 
+/// `out[i] = prefix[i] · col[i]` over the common prefix, returning the
+/// sequential sum of the new `out` in ascending index order.
+///
+/// One pass instead of a copy, a [`mul_assign`] and an [`ordered_sum`],
+/// with the same multiplications and the same additions in the same
+/// order, so the vector and the sum are bit-identical to those three.
+pub fn mul_into_ordered_sum(out: &mut [f64], prefix: &[f64], col: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for ((o, &p), &c) in out.iter_mut().zip(prefix).zip(col) {
+        *o = p * c;
+        sum += *o;
+    }
+    sum
+}
+
 /// One dimension's kernel column: for every row `r`,
 /// `out[r] = pref[r] · exp(−(xj − cen[r])² / two_var[r])`.
 ///
@@ -184,6 +201,30 @@ mod tests {
             expected += x;
         }
         assert_eq!(ordered_sum(&xs).to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn fused_multiply_and_sum_match_the_three_passes() {
+        for n in [0usize, 1, 7, 8, 9, 61] {
+            // Magnitudes from subnormal to large, with exact zeros.
+            let prefix: Vec<f64> = (0..n)
+                .map(|i| match i % 5 {
+                    0 => 0.0,
+                    1 => 5e-324 * (i + 1) as f64,
+                    _ => (i as f64 * 0.618_033_988_749).fract() * 10f64.powi(i as i32 % 9 - 4),
+                })
+                .collect();
+            let col: Vec<f64> = (0..n).map(|i| 0.3 + (i as f64 * 0.41).fract()).collect();
+            let mut want = prefix.clone();
+            mul_assign(&mut want, &col);
+            let want_sum = ordered_sum(&want);
+            let mut got = vec![f64::NAN; n];
+            let sum = mul_into_ordered_sum(&mut got, &prefix, &col);
+            assert_eq!(sum.to_bits(), want_sum.to_bits(), "sum of {n}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,16 @@
 //! caches containing non-finite values through the scalar loop with
 //! the literal break, preserving the contract in the degenerate case
 //! too. The naive `density_subspace` remains the correctness oracle.
+//!
+//! ## Product vectors
+//!
+//! [`KernelColumns::products_into`] exposes the per-row product vector of
+//! a subspace alongside its density, and [`KernelColumns::extend_products`]
+//! multiplies one more column into such a vector. Since the columns are
+//! multiplied in ascending dimension order, the vector of `S` times
+//! column `j > max S` is the vector of `S ∪ {j}` bit for bit, which lets
+//! the roll-up classifier reuse the previous level's vectors instead of
+//! rebuilding each candidate from its first column.
 
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
@@ -190,23 +200,76 @@ impl KernelColumns {
     /// cached dimensionality; [`UdmError::InvalidConfig`] for the empty
     /// subspace.
     pub fn density(&self, subspace: Subspace) -> Result<f64> {
+        if !self.all_finite {
+            self.check_subspace(subspace)?;
+            return Ok(self.density_rowwise(subspace));
+        }
+        chunked::with_scratch(self.rows, |prod| self.products_into(subspace, prod))
+    }
+
+    /// Writes the per-row product vector of `subspace` into `out` and
+    /// returns its density: each row's weight times its kernel values
+    /// over `subspace`, multiplied in ascending dimension order, then
+    /// the ordered sum over rows divided by the normalizer. This is the
+    /// columnar path of [`Self::density`], which it matches bit for bit
+    /// on a cache for which [`Self::is_columnar`] holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::density`], plus [`UdmError::DimensionMismatch`] when
+    /// `out` does not have [`Self::rows`] entries.
+    pub fn products_into(&self, subspace: Subspace, out: &mut [f64]) -> Result<f64> {
+        self.check_subspace(subspace)?;
+        self.check_rows(out.len())?;
+        chunked::seed_products(out, self.weights.as_deref());
+        for j in subspace.dims() {
+            chunked::mul_assign(out, self.column(j));
+        }
+        Ok(chunked::ordered_sum(out) / self.norm)
+    }
+
+    /// Extends the product vector `prefix` of a subspace `S` by column
+    /// `j` into `out` and returns the density of the result. When `j` is
+    /// above every dimension of `S`, this is the last multiply of
+    /// [`Self::products_into`] for `S ∪ {j}`, so vector and density are
+    /// that method's bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`UdmError::DimensionOutOfRange`] for `j ≥` [`Self::dim`];
+    /// [`UdmError::DimensionMismatch`] when `prefix` or `out` does not
+    /// have [`Self::rows`] entries.
+    pub fn extend_products(&self, prefix: &[f64], j: usize, out: &mut [f64]) -> Result<f64> {
+        if j >= self.dim {
+            return Err(UdmError::DimensionOutOfRange {
+                dim: j,
+                dimensionality: self.dim,
+            });
+        }
+        self.check_rows(prefix.len())?;
+        self.check_rows(out.len())?;
+        Ok(chunked::mul_into_ordered_sum(out, prefix, self.column(j)) / self.norm)
+    }
+
+    fn check_subspace(&self, subspace: Subspace) -> Result<()> {
         subspace.validate_for(self.dim)?;
         if subspace.is_empty() {
             return Err(UdmError::InvalidConfig(
                 "cannot evaluate a density over the empty subspace".into(),
             ));
         }
-        if !self.all_finite {
-            return Ok(self.density_rowwise(subspace));
+        Ok(())
+    }
+
+    fn check_rows(&self, len: usize) -> Result<()> {
+        if len == self.rows {
+            Ok(())
+        } else {
+            Err(UdmError::DimensionMismatch {
+                expected: self.rows,
+                actual: len,
+            })
         }
-        let sum = chunked::with_scratch(self.rows, |prod| {
-            chunked::seed_products(prod, self.weights.as_deref());
-            for j in subspace.dims() {
-                chunked::mul_assign(prod, self.column(j));
-            }
-            chunked::ordered_sum(prod)
-        });
-        Ok(sum / self.norm)
     }
 
     /// The scalar reference schedule: row-wise products with the

@@ -1,5 +1,4 @@
-//! 1-D grid evaluation of density estimates, for plotting and numeric
-//! verification.
+//! 1-D grid evaluation of density estimates, for plotting.
 
 use serde::{Deserialize, Serialize};
 use udm_core::{Result, UdmError};
@@ -43,28 +42,6 @@ impl Grid1D {
         let ys = xs.iter().copied().map(f).collect::<Result<_>>()?;
         Ok(Grid1D { xs, ys })
     }
-
-    /// Location of the highest density value (argmax).
-    pub fn argmax(&self) -> Option<f64> {
-        self.xs
-            .iter()
-            .zip(self.ys.iter())
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(&x, _)| x)
-    }
-
-    /// Total mass by trapezoidal quadrature over the grid.
-    pub fn mass(&self) -> f64 {
-        if self.xs.len() < 2 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for w in self.xs.windows(2).zip(self.ys.windows(2)) {
-            let (xw, yw) = w;
-            total += 0.5 * (yw[0] + yw[1]) * (xw[1] - xw[0]);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -106,31 +83,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(e, UdmError::DimensionMismatch { .. }), "{e:?}");
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn kde_grid_mass_near_one() {
-        let d = dataset_1d();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let g = Grid1D::evaluate(-10.0, 10.0, 4001, |x| kde.density(&[x])).unwrap();
-        assert!((g.mass() - 1.0).abs() < 1e-4, "mass={}", g.mass());
-    }
-
-    #[test]
-    fn argmax_near_data_mode() {
-        let d = dataset_1d();
-        let kde = ErrorKde::fit(&d, KdeConfig::default()).unwrap();
-        let g = Grid1D::evaluate(-5.0, 5.0, 2001, |x| kde.density(&[x])).unwrap();
-        let m = g.argmax().unwrap();
-        assert!(m.abs() < 0.5, "argmax={m}");
-    }
-
-    #[test]
-    fn mass_of_trivial_grid_is_zero() {
-        let g = Grid1D {
-            xs: vec![0.0],
-            ys: vec![1.0],
-        };
-        assert_eq!(g.mass(), 0.0);
     }
 }

@@ -255,6 +255,7 @@ impl IngestPump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::fingerprint_aggregate;
     use udm_core::UncertainPoint;
 
     fn records(n: u64, dim: usize) -> Vec<RawRecord> {
@@ -318,7 +319,12 @@ mod tests {
         assert!(last.generation >= 5);
         assert_eq!(last.model.total_points(), 100);
         assert!(last.kde.is_some());
-        assert!(last.verify());
+        // The last snapshot serves exactly the pump's final merged model.
+        let (model, _) = pump.supervisor.serve().unwrap();
+        assert_eq!(
+            last.model_fingerprint(),
+            fingerprint_aggregate(&model.aggregate())
+        );
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! once built; the [`SnapshotStore`] swaps an `Arc` to the newest one,
 //! so readers clone the `Arc` under a momentary read lock and then
 //! evaluate lock-free against a model that can never change — or tear —
-//! under them. Each snapshot carries an FNV-1a checksum over its own
-//! identity fields, giving the concurrency stress tests an independent
-//! torn-read detector.
+//! under them.
 
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -63,11 +61,10 @@ pub struct ModelSnapshot {
     /// Coreset reductions of `kde`, built once per (snapshot, eps) and
     /// shared by every query after.
     coresets: CoresetCache,
-    checksum: u64,
 }
 
 impl ModelSnapshot {
-    /// Builds a snapshot, sealing it with its integrity checksum.
+    /// Builds a snapshot.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         generation: u64,
@@ -78,7 +75,7 @@ impl ModelSnapshot {
         counters: IngestCounters,
         ingested: u64,
     ) -> Self {
-        let mut snap = ModelSnapshot {
+        ModelSnapshot {
             generation,
             model,
             kde,
@@ -89,15 +86,11 @@ impl ModelSnapshot {
             published: Instant::now(),
             backend_spec: BackendSpec::Exact,
             coresets: CoresetCache::default(),
-            checksum: 0,
-        };
-        snap.checksum = snap.compute_checksum();
-        snap
+        }
     }
 
     /// Selects the default density backend this snapshot serves through
-    /// (builder-style; the checksum covers identity fields only, so the
-    /// spec can be applied after construction).
+    /// (builder-style).
     #[must_use]
     pub fn with_backend_spec(mut self, spec: BackendSpec) -> Self {
         self.backend_spec = spec;
@@ -127,26 +120,10 @@ impl ModelSnapshot {
         Ok(self.coresets.resolve(spec, &self.kde)?.pop())
     }
 
-    fn compute_checksum(&self) -> u64 {
-        let mut h = fingerprint_aggregate(&self.model.aggregate());
-        h = fnv1a(h, &self.generation.to_le_bytes());
-        h = fnv1a(h, &self.coverage.to_bits().to_le_bytes());
-        h = fnv1a(h, &self.counters.arrivals.to_le_bytes());
-        fnv1a(h, &self.ingested.to_le_bytes())
-    }
-
     /// Digest of the aggregate CFT alone (exposed on `/healthz` so the
     /// chaos drill can compare restarted vs. uninterrupted models).
     pub fn model_fingerprint(&self) -> u64 {
         fingerprint_aggregate(&self.model.aggregate())
-    }
-
-    /// Re-derives the checksum and compares it with the sealed value.
-    /// A mismatch means a reader observed a half-published snapshot —
-    /// which the `Arc` swap makes impossible; the stress test asserts
-    /// exactly that.
-    pub fn verify(&self) -> bool {
-        self.compute_checksum() == self.checksum
     }
 
     /// Seconds since publication.
@@ -231,7 +208,6 @@ mod tests {
     #[test]
     fn snapshot_serves_backends_per_spec() {
         let snap = snapshot_of(1, 12, 0.0).with_backend_spec(BackendSpec::Coreset { eps: 0.2 });
-        assert!(snap.verify(), "backend spec must not disturb the checksum");
         let default = snap.backend().unwrap().unwrap();
         assert_eq!(default.name(), "coreset");
         // The cache hands back the same instance for the same spec…
@@ -268,14 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_detects_mutation() {
-        let mut snap = snapshot_of(1, 10, 0.0);
-        assert!(snap.verify());
-        snap.generation += 1;
-        assert!(!snap.verify());
-    }
-
-    #[test]
     fn fingerprint_tracks_aggregate_bits() {
         let a = snapshot_of(1, 10, 0.0);
         let b = snapshot_of(2, 10, 0.0);
@@ -292,21 +260,39 @@ mod tests {
         store.publish(snapshot_of(1, 5, 0.0));
         let got = store.load().unwrap();
         assert_eq!(got.generation, 1);
-        assert!(got.verify());
+        assert_eq!(
+            got.model_fingerprint(),
+            fingerprint_aggregate(&model_of(5, 0.0).aggregate())
+        );
     }
 
     /// N readers classify-by-loading while a publisher swaps generations:
-    /// every observed snapshot verifies, and generations are monotone
-    /// per reader (no torn or stale-after-fresh reads).
+    /// every observed snapshot carries the model of its own generation,
+    /// and generations are monotone per reader (no torn or
+    /// stale-after-fresh reads).
     #[test]
     fn concurrent_swap_readers_see_only_complete_generations() {
+        // Generation g serves the model built at offset g (0 for g = 1).
+        let offset = |generation: u64| {
+            if generation == 1 {
+                0.0
+            } else {
+                generation as f64
+            }
+        };
+        let fingerprints: Arc<Vec<u64>> = Arc::new(
+            (0..40)
+                .map(|g| fingerprint_aggregate(&model_of(8, offset(g)).aggregate()))
+                .collect(),
+        );
         let store = Arc::new(SnapshotStore::new());
-        store.publish(snapshot_of(1, 8, 0.0));
+        store.publish(snapshot_of(1, 8, offset(1)));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let store = Arc::clone(&store);
                 let stop = Arc::clone(&stop);
+                let fingerprints = Arc::clone(&fingerprints);
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     let mut seen = 0usize;
@@ -315,7 +301,12 @@ mod tests {
                     // reader is first scheduled).
                     while !stop.load(Ordering::Relaxed) || seen == 0 {
                         let snap = store.load().expect("published before spawn");
-                        assert!(snap.verify(), "torn snapshot at gen {}", snap.generation);
+                        assert_eq!(
+                            snap.model_fingerprint(),
+                            fingerprints[snap.generation as usize],
+                            "torn snapshot at gen {}",
+                            snap.generation
+                        );
                         assert!(snap.generation >= last, "generation went backwards");
                         // Exercise the model through the snapshot too.
                         if let Some(kde) = &snap.kde {
@@ -333,7 +324,7 @@ mod tests {
             })
             .collect();
         for generation in 2..40 {
-            store.publish(snapshot_of(generation, 8, generation as f64));
+            store.publish(snapshot_of(generation, 8, offset(generation)));
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
